@@ -262,28 +262,6 @@ KernelResult bench_rfft_pow2(const std::string& name, long n) {
   return r;
 }
 
-// Awkward-length Bluestein: per-thread scratch reuse vs the historical
-// per-call allocation of the length-m convolution buffer.
-KernelResult bench_rfft_bluestein_fallback(const std::string& name, long n) {
-  const std::vector<double> x = random_real_signal(n, 33);
-  std::vector<dsp::Complex> a(x.begin(), x.end());
-  KernelResult r;
-  r.name = name;
-  r.shape = "bluestein N=" + std::to_string(n);
-  const double nd = static_cast<double>(n);
-  r.flops_per_call = 5.0 * nd * std::log2(nd);
-  std::vector<dsp::Complex> work;
-  r.seconds_ref = time_kernel([&] {
-    work = a;
-    dsp::detail::bluestein_inplace(work, /*inverse=*/false, /*reuse_scratch=*/false);
-  });
-  r.seconds_new = time_kernel([&] {
-    work = a;
-    dsp::detail::bluestein_inplace(work, /*inverse=*/false, /*reuse_scratch=*/true);
-  });
-  return r;
-}
-
 void emit_json(const std::vector<KernelResult>& results, const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -332,10 +310,8 @@ int main() {
   // per-step unfused path, plus the fusion win in isolation.
   results.push_back(bench_lstm_train_step("lstm_train_gt", 168, 6, 28, 24, 16));
   results.push_back(bench_lstm_fused_train("lstm_fused_train", 168, 6, 28, 24, 16));
-  // Real-input FFT: the hourly 512-bin pow2 fast path and the 168-length
-  // (hourly week) Bluestein fallback with hoisted scratch.
+  // Real-input FFT: the 512-point pow2 fast path against Bluestein.
   results.push_back(bench_rfft_pow2("rfft_pow2", 512));
-  results.push_back(bench_rfft_bluestein_fallback("rfft_bluestein_fallback", 168));
 
   std::printf("%-28s %-14s %-14s %-10s %-10s %s\n", "kernel", "ref s/call", "new s/call",
               "ref GF/s", "new GF/s", "speedup");

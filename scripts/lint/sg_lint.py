@@ -95,9 +95,9 @@ MUTABLE_STATIC_ALLOWLIST = {
     # Logger: level cache is a relaxed atomic seeded from the environment
     # on first use (the sink mutex is a namespace-scope annotated Mutex).
     "src/util/log.cpp:level",
-    # Pool worker flag: per-thread marker that enables nested-inline
+    # Parallel-region flag: per-thread marker that enables nested-inline
     # execution; written only by the owning thread.
-    "src/util/thread_pool.cpp:tls_in_worker",
+    "src/util/thread_pool.cpp:tls_in_region",
     # GEMM scratch routing: per-thread pointer to the bound Workspace,
     # written only by the owning thread via WorkspaceScope (serve daemon
     # binds request-owned arenas); and the per-thread default arena set —
@@ -113,16 +113,10 @@ MUTABLE_STATIC_ALLOWLIST = {
     # (worker threads may outlive main during exit).
     "src/obs/trace.cpp:s",
     "src/obs/trace.cpp:buffer",
-    # Bluestein plan cache: annotated SharedMutex + GUARDED_BY buckets
-    # (BluesteinCache); plans are immutable after construction (§6a/§6d).
-    "src/dsp/fft.cpp:bluestein_cache",
-    # rfft twiddle-plan cache: same SharedMutex + immutable-plan shape.
-    "src/dsp/fft.cpp:rfft_cache",
-    # Bluestein per-thread transform scratch: grow-only buffer reused
-    # across transforms; per-thread (not plan-owned) because plans are
-    # shared read-only across threads. Holds no cross-call state — it is
-    # fully overwritten at the start of every transform.
-    "src/dsp/fft.cpp:scratch",
+    # FFT plan caches (one PlanCache per plan type): annotated SharedMutex
+    # + GUARDED_BY plan list; plans are immutable after construction
+    # (§6a/§6d). Transform work buffers are per call, not static.
+    "src/dsp/fft.cpp:plan_cache",
     # SIMD dispatch selection: written once on first kernel use (or by
     # the test-only set_simd_level override), then read lock-free. The
     # level never changes results — every level is bitwise identical

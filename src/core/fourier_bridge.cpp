@@ -1,5 +1,8 @@
 #include "core/fourier_bridge.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "dsp/fft.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -38,60 +41,70 @@ Var irfft_bridge(const Var& spectrum, long base_steps, long expand_k) {
   const double k_scale = static_cast<double>(expand_k) * static_cast<double>(base_steps);
 
   Tensor out({B, t_out, P});
-  // Each (b, p) series is independent; chunk the flattened B*P axis over
-  // the shared pool. Writes into `out` are disjoint per (b, p), so the
+  // A batch row's P pixel series are lane-minor in both tensors, so each
+  // row is one lane-batched inverse transform. Rows are independent and
+  // write disjoint slices of `out`, so the pool chunks the B axis and the
   // result is bitwise identical for any thread count.
-  parallel_for(
-      static_cast<std::size_t>(B * P), /*grain=*/16,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<dsp::Complex> full(static_cast<std::size_t>(f_out));
-        for (std::size_t bp = begin; bp < end; ++bp) {
-          const long b = static_cast<long>(bp) / P;
-          const long p = static_cast<long>(bp) % P;
-          std::fill(full.begin(), full.end(), dsp::Complex(0.0, 0.0));
-          for (long i = 0; i < f_gen; ++i) {
-            // Channel layout: [re_0, im_0, re_1, im_1, ...] over axis 1.
-            const double re = spec[(b * two_f + 2 * i) * P + p];
-            const double im = spec[(b * two_f + 2 * i + 1) * P + p];
-            full[static_cast<std::size_t>(expand_k * i)] = dsp::Complex(re, im) * k_scale;
-          }
-          const std::vector<double> series = dsp::irfft(full, t_out);
-          for (long t = 0; t < t_out; ++t) {
-            out[(b * t_out + t) * P + p] = static_cast<float>(series[static_cast<std::size_t>(t)]);
-          }
+  parallel_for(static_cast<std::size_t>(B), /*grain=*/1, [&](std::size_t begin, std::size_t end) {
+    std::vector<double> re(static_cast<std::size_t>(f_out * P));
+    std::vector<double> im(re.size());
+    std::vector<double> series(static_cast<std::size_t>(t_out * P));
+    for (long b = static_cast<long>(begin); b < static_cast<long>(end); ++b) {
+      std::fill(re.begin(), re.end(), 0.0);
+      std::fill(im.begin(), im.end(), 0.0);
+      for (long i = 0; i < f_gen; ++i) {
+        // Channel layout: [re_0, im_0, re_1, im_1, ...] over axis 1.
+        const float* src_re = spec.data() + (b * two_f + 2 * i) * P;
+        const float* src_im = spec.data() + (b * two_f + 2 * i + 1) * P;
+        double* dst_re = re.data() + expand_k * i * P;
+        double* dst_im = im.data() + expand_k * i * P;
+        for (long p = 0; p < P; ++p) {
+          dst_re[p] = static_cast<double>(src_re[p]) * k_scale;
+          dst_im[p] = static_cast<double>(src_im[p]) * k_scale;
         }
-      });
+      }
+      dsp::irfft_lanes(re.data(), im.data(), t_out, P, series.data());
+      float* dst = out.data() + b * t_out * P;
+      for (long j = 0; j < t_out * P; ++j) {
+        dst[j] = static_cast<float>(series[static_cast<std::size_t>(j)]);
+      }
+    }
+  });
 
   return Var::make_op(
       std::move(out), {spectrum},
-      [B, two_f, f_gen, P, t_out, expand_k, k_scale](const Tensor& g, std::vector<Var>& parents) {
+      [B, two_f, f_gen, P, t_out, f_out, expand_k, k_scale](const Tensor& g,
+                                                             std::vector<Var>& parents) {
         if (!parents[0].requires_grad()) return;
         SG_TRACE_SPAN("core/irfft_bridge_backward");
         SG_PROFILE_SCOPE("core/irfft_bridge_backward");
         Tensor& gs = parents[0].grad_storage();
-        // Gradient writes touch only the (b, p) column being processed,
-        // so the flattened B*P axis parallelizes with disjoint writes.
+        // One lane-batched rfft per batch row; gradient writes touch only
+        // that row, so the B axis parallelizes with disjoint writes.
         parallel_for(
-            static_cast<std::size_t>(B * P), /*grain=*/16,
-            [&](std::size_t begin, std::size_t end) {
-              std::vector<double> series(static_cast<std::size_t>(t_out));
-              for (std::size_t bp = begin; bp < end; ++bp) {
-                const long b = static_cast<long>(bp) / P;
-                const long p = static_cast<long>(bp) % P;
-                for (long t = 0; t < t_out; ++t) {
-                  series[static_cast<std::size_t>(t)] = g[(b * t_out + t) * P + p];
+            static_cast<std::size_t>(B), /*grain=*/1, [&](std::size_t begin, std::size_t end) {
+              std::vector<double> series(static_cast<std::size_t>(t_out * P));
+              std::vector<double> re(static_cast<std::size_t>(f_out * P));
+              std::vector<double> im(re.size());
+              for (long b = static_cast<long>(begin); b < static_cast<long>(end); ++b) {
+                const float* src = g.data() + b * t_out * P;
+                for (long j = 0; j < t_out * P; ++j) {
+                  series[static_cast<std::size_t>(j)] = static_cast<double>(src[j]);
                 }
-                const std::vector<dsp::Complex> grad_spec = dsp::rfft(series);
+                dsp::rfft_lanes(series.data(), t_out, P, re.data(), im.data());
                 for (long i = 0; i < f_gen; ++i) {
                   const long bin = expand_k * i;
                   // Hermitian weighting: interior bins appear twice in the
                   // inverse transform, DC and Nyquist once.
                   const bool edge = (bin == 0) || (2 * bin == t_out);
                   const double c = (edge ? 1.0 : 2.0) * k_scale / static_cast<double>(t_out);
-                  const dsp::Complex gb = grad_spec[static_cast<std::size_t>(bin)];
-                  gs[(b * two_f + 2 * i) * P + p] += static_cast<float>(c * gb.real());
-                  if (!edge) {
-                    gs[(b * two_f + 2 * i + 1) * P + p] += static_cast<float>(c * gb.imag());
+                  const double* src_re = re.data() + bin * P;
+                  const double* src_im = im.data() + bin * P;
+                  float* dst_re = gs.data() + (b * two_f + 2 * i) * P;
+                  float* dst_im = gs.data() + (b * two_f + 2 * i + 1) * P;
+                  for (long p = 0; p < P; ++p) {
+                    dst_re[p] += static_cast<float>(c * src_re[p]);
+                    if (!edge) dst_im[p] += static_cast<float>(c * src_im[p]);
                   }
                 }
               }

@@ -1,5 +1,7 @@
 #include "core/losses.h"
 
+#include <vector>
+
 #include "dsp/spectrum.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -26,32 +28,41 @@ nn::Tensor spectrum_with_filter(const nn::Tensor& traffic, long f_gen, BinFilter
   SG_CHECK(f_gen >= 1 && f_gen <= T / 2 + 1, "f_gen out of range");
 
   nn::Tensor out({B, 2 * f_gen, P});
-  // One rfft per (b, p) series; the flattened B*P axis chunks over the
-  // shared pool with disjoint writes into `out` (bitwise deterministic).
-  parallel_for(
-      static_cast<std::size_t>(B * P), /*grain=*/16,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<double> series(static_cast<std::size_t>(T));
-        for (std::size_t bp = begin; bp < end; ++bp) {
-          const long b = static_cast<long>(bp) / P;
-          const long p = static_cast<long>(bp) % P;
-          for (long t = 0; t < T; ++t) {
-            series[static_cast<std::size_t>(t)] = traffic[(b * T + t) * P + p];
-          }
-          std::vector<dsp::Complex> spec = dsp::rfft(series);
-          spec.resize(static_cast<std::size_t>(f_gen));
-          filter(spec);
-          // Normalized-spectrum convention shared with irfft_bridge: targets
-          // are Y/T so the spectrum L1 term is commensurate with the time L1.
-          for (dsp::Complex& c : spec) c /= static_cast<double>(T);
-          for (long i = 0; i < f_gen; ++i) {
-            out[(b * 2 * f_gen + 2 * i) * P + p] =
-                static_cast<float>(spec[static_cast<std::size_t>(i)].real());
-            out[(b * 2 * f_gen + 2 * i + 1) * P + p] =
-                static_cast<float>(spec[static_cast<std::size_t>(i)].imag());
-          }
+  // One lane-batched rfft per batch row (its P pixel series are already
+  // lane-minor), then the per-series filter. Rows write disjoint slices
+  // of `out`, so the pool chunks the B axis (bitwise deterministic).
+  parallel_for(static_cast<std::size_t>(B), /*grain=*/1, [&](std::size_t begin, std::size_t end) {
+    const long bins = T / 2 + 1;
+    std::vector<double> series(static_cast<std::size_t>(T * P));
+    std::vector<double> re(static_cast<std::size_t>(bins * P));
+    std::vector<double> im(re.size());
+    std::vector<dsp::Complex> spec;
+    for (long b = static_cast<long>(begin); b < static_cast<long>(end); ++b) {
+      const float* src = traffic.data() + b * T * P;
+      for (long j = 0; j < T * P; ++j) {
+        series[static_cast<std::size_t>(j)] = static_cast<double>(src[j]);
+      }
+      dsp::rfft_lanes(series.data(), T, P, re.data(), im.data());
+      for (long p = 0; p < P; ++p) {
+        spec.resize(static_cast<std::size_t>(f_gen));
+        for (long i = 0; i < f_gen; ++i) {
+          spec[static_cast<std::size_t>(i)] =
+              dsp::Complex(re[static_cast<std::size_t>(i * P + p)],
+                           im[static_cast<std::size_t>(i * P + p)]);
         }
-      });
+        filter(spec);
+        // Normalized-spectrum convention shared with irfft_bridge: targets
+        // are Y/T so the spectrum L1 term is commensurate with the time L1.
+        for (dsp::Complex& c : spec) c /= static_cast<double>(T);
+        for (long i = 0; i < f_gen; ++i) {
+          out[(b * 2 * f_gen + 2 * i) * P + p] =
+              static_cast<float>(spec[static_cast<std::size_t>(i)].real());
+          out[(b * 2 * f_gen + 2 * i + 1) * P + p] =
+              static_cast<float>(spec[static_cast<std::size_t>(i)].imag());
+        }
+      }
+    }
+  });
   return out;
 }
 

@@ -6,6 +6,11 @@
 // These kernels serve double duty: the SpectraGAN generator's
 // differentiable inverse transform (core/fourier_bridge) and the offline
 // analysis in data characterization and metrics.
+//
+// One lane-batched engine implements every algorithm: the *_lanes entry
+// points transform many equal-length series in one call, and the
+// per-series functions are one-lane calls of the same kernels. Each
+// lane's result is bitwise identical whatever the lane count.
 
 #pragma once
 
@@ -15,6 +20,20 @@
 namespace spectra::dsp {
 
 using Complex = std::complex<double>;
+
+// Lane-batched transforms of `lanes` series of length n. Every array is
+// split into real and imaginary parts and laid out element-major,
+// lane-minor: element k of series l sits at [k * lanes + l], so one batch
+// row of a [B, T, P] tensor is P lanes as it stands.
+//
+// fft_lanes: in-place complex FFT (inverse: conjugate transform and 1/n).
+void fft_lanes(double* re, double* im, long n, long lanes, bool inverse);
+
+// rfft_lanes: x holds n samples per lane; re/im receive the n/2+1 bins.
+void rfft_lanes(const double* x, long n, long lanes, double* re, double* im);
+
+// irfft_lanes: re/im hold n/2+1 bins per lane; x receives n samples.
+void irfft_lanes(const double* re, const double* im, long n, long lanes, double* x);
 
 // In-place FFT of arbitrary length (radix-2 when N is a power of two,
 // Bluestein otherwise). `inverse` applies the conjugate transform and the
@@ -39,14 +58,12 @@ bool is_power_of_two(long n);
 
 namespace detail {
 
-// Test/bench hooks. Production code routes through fft_inplace/rfft; these
-// force specific strategies so the fast paths above have an independent
-// reference and an honest bench baseline.
+// Test/bench hooks that force the Bluestein kernel at any length, powers
+// of two included, so the radix-2 paths have an independent in-engine
+// comparison and an honest bench baseline.
 
-// Chirp-z (Bluestein) transform at any length, including powers of two.
-// `reuse_scratch=false` reproduces the historical per-call-allocating work
-// buffer (the baseline for the scratch-hoist bench entry).
-void bluestein_inplace(std::vector<Complex>& a, bool inverse, bool reuse_scratch = true);
+// Chirp-z (Bluestein) transform at any length.
+void bluestein_inplace(std::vector<Complex>& a, bool inverse);
 
 // rfft evaluated through the full-length Bluestein transform — the
 // reference the power-of-two fast path is compared against.

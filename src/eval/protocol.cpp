@@ -112,6 +112,16 @@ std::optional<geo::CityTensor> load_city_tensor(const std::string& path) {
   std::int64_t dims[3] = {0, 0, 0};
   in.read(reinterpret_cast<char*>(dims), sizeof(dims));
   if (!in) return std::nullopt;
+  // The dims are untrusted: a bad extent, an overflowing product or a
+  // payload that is not exactly product × 8 bytes is a cache miss, checked
+  // before anything is allocated.
+  const std::optional<long> count = geo::checked_element_count(dims[0], dims[1], dims[2]);
+  if (!count) return std::nullopt;
+  const std::streamoff header = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff payload = in.tellg() - header;
+  in.seekg(header);
+  if (!in || payload % 8 != 0 || payload / 8 != *count) return std::nullopt;
   geo::CityTensor tensor(dims[0], dims[1], dims[2]);
   in.read(reinterpret_cast<char*>(tensor.values().data()),
           static_cast<std::streamsize>(tensor.values().size() * sizeof(double)));

@@ -36,8 +36,9 @@ obs::Counter& inline_counter() {
   return c;
 }
 
-// Set for the lifetime of every pool worker thread.
-thread_local bool tls_in_worker = false;
+// Set for the lifetime of every pool worker thread, and on a calling
+// thread while it runs its own chunk of a parallel_for.
+thread_local bool tls_in_region = false;
 
 // Split [0, n) into at most `max_chunks` chunks of >= grain indices and
 // run them through `run_chunk`, executing the first chunk on the calling
@@ -78,7 +79,7 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-bool ThreadPool::in_worker_thread() { return tls_in_worker; }
+bool ThreadPool::in_parallel_region() { return tls_in_region; }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::packaged_task<void()> packaged(std::move(task));
@@ -101,7 +102,7 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
   const ChunkPlan plan = plan_chunks(n, grain, max_chunks == 0 ? size() : max_chunks);
   // Nested use: a worker waiting on futures would block the very queue
   // slot needed to run them — execute the whole range inline instead.
-  if (plan.num_chunks <= 1 || tls_in_worker) {
+  if (plan.num_chunks <= 1 || tls_in_region) {
     inline_counter().inc();
     fn(0, n);
     return;
@@ -122,11 +123,17 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
       }
     }));
   }
+  // The caller's chunk is a parallel region too: its nested calls run
+  // inline like the workers' do. Fanning them out would only wake the
+  // idle workers for every small nested region, and the outer chunks
+  // would no longer run the same serial code.
+  tls_in_region = true;
   try {
     fn(0, std::min(n, plan.chunk_size));
   } catch (...) {
     errors[0] = std::current_exception();
   }
+  tls_in_region = false;
   for (auto& future : futures) future.get();
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
@@ -140,7 +147,7 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
 }
 
 void ThreadPool::worker_loop() {
-  tls_in_worker = true;
+  tls_in_region = true;
   for (;;) {
     std::packaged_task<void()> task;
     {
@@ -197,7 +204,7 @@ void parallel_for(std::size_t n, std::size_t grain,
   if (n == 0) return;
   const std::size_t threads = parallel_threads();
   const ChunkPlan plan = plan_chunks(n, grain, threads);
-  if (threads <= 1 || plan.num_chunks <= 1 || ThreadPool::in_worker_thread()) {
+  if (threads <= 1 || plan.num_chunks <= 1 || ThreadPool::in_parallel_region()) {
     inline_counter().inc();
     fn(0, n);
     return;

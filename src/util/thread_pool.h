@@ -5,8 +5,10 @@
 // process-wide shared pool sized by `SPECTRA_THREADS` (default:
 // hardware_concurrency; `1` = fully serial, no worker threads). Work is
 // split into O(threads) contiguous chunks rather than one task per index,
-// and a call made from inside a pool worker executes inline, so nested
-// parallel regions cannot deadlock on their own queue.
+// and a call made from inside a parallel region (a pool worker, or the
+// calling thread while it runs its own chunk) executes inline, so nested
+// parallel regions cannot deadlock on their own queue and every chunk of
+// the outer region runs the same serial code.
 //
 // Determinism contract: callers partition writes disjointly across
 // indices and keep RNG out of parallel regions, so results are bitwise
@@ -38,10 +40,11 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  // True when the calling thread is a worker of any ThreadPool. Used to
-  // run nested parallel_for calls inline instead of re-entering a queue
-  // the caller itself is supposed to drain.
-  static bool in_worker_thread();
+  // True on a worker of any ThreadPool, and on a thread running its own
+  // chunk of a parallel_for. Nested parallel_for calls run inline there
+  // instead of re-entering a queue the caller itself is supposed to
+  // drain, or waking idle workers for every small nested region.
+  static bool in_parallel_region();
 
   // Enqueue a task; the future resolves when it completes.
   std::future<void> submit(std::function<void()> task);
@@ -50,8 +53,8 @@ class ThreadPool {
   // covering [0, n). At most `max_chunks` chunks are submitted (0 =
   // size(), i.e. O(threads)) and each chunk spans at least `grain`
   // indices; the caller executes the first chunk itself. Runs fully
-  // inline when called from a worker thread or when only one chunk
-  // results. Exceptions from chunks are rethrown (lowest chunk index
+  // inline when called from inside a parallel region or when only one
+  // chunk results. Exceptions from chunks are rethrown (lowest chunk index
   // wins). The chunk layout for given (n, grain, max_chunks) is fixed,
   // so which indices share a chunk never depends on pool size.
   void parallel_for(std::size_t n, std::size_t grain,
@@ -82,8 +85,8 @@ void set_parallel_threads(std::size_t n);
 
 // Run fn(begin, end) over disjoint chunks of [0, n) on the process-wide
 // shared pool. Serial (inline, no pool touched) when parallel_threads()
-// is 1, when n fits in one grain-sized chunk, or when already running on
-// a pool worker. The shared pool is created lazily on the first call
+// is 1, when n fits in one grain-sized chunk, or when already inside a
+// parallel region. The shared pool is created lazily on the first call
 // that actually fans out.
 void parallel_for(std::size_t n, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& fn);

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include "core/config.h"
 #include "core/discriminators.h"
@@ -19,6 +23,7 @@
 #include "data/sampler.h"
 #include "dsp/fft.h"
 #include "nn/init.h"
+#include "reference/fourier_reference.h"
 #include "util/error.h"
 
 namespace spectra::core {
@@ -251,6 +256,94 @@ TEST(LossesTest, MaskedTargetZeroesWeakBins) {
       EXPECT_GT(mag, 0.4);  // DC carries the mean (1.0), bin 2 half the cosine
     } else {
       EXPECT_NEAR(mag, 0.0, 1e-5);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise contract: the batched bridge and spectrum targets (one lane call
+// per batch row over its P pixels) equal the per-(b, p) loops on the
+// scalar reference transforms bit for bit. P = 20 at T = 168 splits into
+// a 16-lane and a 4-lane block.
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+void expect_bitwise(const nn::Tensor& got, const nn::Tensor& want, const std::string& what) {
+  ASSERT_TRUE(got.same_shape(want)) << what;
+  for (long i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(float_bits(got[i]), float_bits(want[i])) << what << " at " << i;
+  }
+}
+
+// Batch row 0: Gaussian values with exact +0.0f and -0.0f planted at
+// fixed strides. Every later row: signed zeros only, whose transforms are
+// exact zeros, so sign-of-zero arithmetic shows up in the bits.
+nn::Tensor signed_zero_tensor(nn::Shape shape, std::uint64_t seed) {
+  Rng rng(seed);
+  nn::Tensor t = nn::init::gaussian(std::move(shape), 1.0f, rng);
+  const long row = t.numel() / t.dim(0);
+  for (long i = 0; i < t.numel(); ++i) {
+    if (i >= row) {
+      t[i] = t[i] < 0.0f ? -0.0f : 0.0f;
+    } else if (i % 5 == 1) {
+      t[i] = 0.0f;
+    } else if (i % 7 == 2) {
+      t[i] = -0.0f;
+    }
+  }
+  return t;
+}
+
+std::string geometry(long T, long k, long P) {
+  return "T=" + std::to_string(T) + " k=" + std::to_string(k) + " P=" + std::to_string(P);
+}
+
+TEST(FourierBridgeBitwiseTest, ForwardAndBackwardMatchPerSeriesReference) {
+  const long B = 2;
+  for (long T : {16L, 24L, 168L}) {
+    for (long k : {1L, 3L}) {
+      for (long P : {1L, 20L, 64L}) {
+        const long f_gen = T / 2 + 1;  // every bin, Nyquist included
+        const long t_out = k * T;
+        const auto seed = static_cast<std::uint64_t>(T * 1000 + k * 100 + P);
+        const nn::Tensor spec = signed_zero_tensor({B, 2 * f_gen, P}, seed);
+        const nn::Tensor g = signed_zero_tensor({B, t_out, P}, seed + 1);
+
+        nn::Var leaf = nn::Var::leaf(spec);
+        nn::Var out = irfft_bridge(leaf, T, k);
+        expect_bitwise(out.value(), reference::irfft_bridge_forward(spec, T, k),
+                       "forward " + geometry(T, k, P));
+
+        // d/d(out) of sum(out * g) is g exactly, so the leaf's gradient is
+        // the bridge backward applied to g.
+        nn::sum(nn::mul(out, nn::Var::constant(g))).backward();
+        nn::Tensor want_grad({B, 2 * f_gen, P});
+        reference::irfft_bridge_backward(g, T, k, want_grad);
+        expect_bitwise(leaf.grad(), want_grad, "backward " + geometry(T, k, P));
+      }
+    }
+  }
+}
+
+TEST(LossesBitwiseTest, SpectrumTargetsMatchPerSeriesReference) {
+  const long B = 2;
+  for (long T : {16L, 24L, 168L}) {
+    for (long k : {1L, 3L}) {
+      for (long P : {1L, 20L, 64L}) {
+        const long steps = k * T;
+        const long f_gen = std::min<long>(steps / 2 + 1, 20);
+        const nn::Tensor traffic =
+            signed_zero_tensor({B, steps, P}, static_cast<std::uint64_t>(steps * 100 + P));
+        expect_bitwise(batch_spectrum(traffic, f_gen), reference::batch_spectrum(traffic, f_gen),
+                       "batch_spectrum " + geometry(T, k, P));
+        expect_bitwise(masked_spectrum_target(traffic, f_gen, 0.6),
+                       reference::masked_spectrum_target(traffic, f_gen, 0.6),
+                       "masked_spectrum_target " + geometry(T, k, P));
+      }
     }
   }
 }

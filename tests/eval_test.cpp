@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <vector>
 
 #include "eval/protocol.h"
 #include "eval/report.h"
@@ -89,6 +92,61 @@ TEST(EvalTest, CityTensorRoundTrip) {
   EXPECT_EQ(back->width(), 5);
   EXPECT_EQ(back->values(), t.values());
   EXPECT_FALSE(load_city_tensor("/nonexistent.sgt").has_value());
+}
+
+// Writes an .sgt file with the given header dims and `payload_doubles`
+// doubles of payload (plus `extra_bytes` trailing bytes).
+std::string write_sgt(const std::string& name, std::int64_t d0, std::int64_t d1, std::int64_t d2,
+                      long payload_doubles, long extra_bytes = 0) {
+  const std::string path = testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::binary);
+  const std::uint32_t magic = 0x53475354;  // "SGST"
+  const std::int64_t dims[3] = {d0, d1, d2};
+  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  out.write(reinterpret_cast<const char*>(dims), sizeof(dims));
+  const std::vector<double> payload(static_cast<std::size_t>(payload_doubles), 0.5);
+  out.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size() * sizeof(double)));
+  const std::vector<char> extra(static_cast<std::size_t>(extra_bytes), 'x');
+  out.write(extra.data(), static_cast<std::streamsize>(extra.size()));
+  return path;
+}
+
+TEST(EvalTest, LoadCityTensorAcceptsExactPayload) {
+  const std::optional<geo::CityTensor> t = load_city_tensor(write_sgt("exact.sgt", 2, 3, 4, 24));
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->size(), 24);
+  EXPECT_EQ(t->values().back(), 0.5);
+}
+
+TEST(EvalTest, LoadCityTensorRejectsNegativeDim) {
+  EXPECT_FALSE(load_city_tensor(write_sgt("negative.sgt", 2, -3, 4, 24)).has_value());
+  EXPECT_FALSE(load_city_tensor(write_sgt("negative0.sgt", -1, 0, 4, 0)).has_value());
+}
+
+TEST(EvalTest, LoadCityTensorRejectsOverflowingProduct) {
+  const std::int64_t big = std::int64_t{1} << 40;
+  EXPECT_FALSE(load_city_tensor(write_sgt("overflow.sgt", big, big, 1, 4)).has_value());
+  EXPECT_FALSE(load_city_tensor(write_sgt("overflow3.sgt", 1 << 22, 1 << 22, 1 << 22, 4))
+                   .has_value());
+}
+
+TEST(EvalTest, LoadCityTensorRejectsTruncatedPayload) {
+  EXPECT_FALSE(load_city_tensor(write_sgt("truncated.sgt", 2, 3, 4, 23)).has_value());
+  EXPECT_FALSE(load_city_tensor(write_sgt("truncated_byte.sgt", 2, 3, 4, 23, 7)).has_value());
+}
+
+TEST(EvalTest, LoadCityTensorRejectsTrailingBytes) {
+  EXPECT_FALSE(load_city_tensor(write_sgt("trailing.sgt", 2, 3, 4, 24, 1)).has_value());
+  EXPECT_FALSE(load_city_tensor(write_sgt("trailing_double.sgt", 2, 3, 4, 25)).has_value());
+}
+
+TEST(EvalTest, CityTensorRejectsBadExtentsBeforeAllocating) {
+  EXPECT_THROW(geo::CityTensor(-1, 2, 2), spectra::Error);
+  EXPECT_THROW(geo::CityTensor(1L << 40, 1L << 40, 1), spectra::Error);
+  EXPECT_EQ(geo::checked_element_count(0, 5, 7), 0);
+  EXPECT_EQ(geo::checked_element_count(3, 4, 5), 60);
+  EXPECT_FALSE(geo::checked_element_count(1L << 62, 4, 1).has_value());
 }
 
 TEST(EvalTest, GenerateForFoldUsesCache) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include "dsp/fft.h"
 #include "obs/metrics.h"
+#include "reference/fft_reference.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -190,24 +194,251 @@ TEST(RfftFastPathTest, CounterCountsFastCallsOnly) {
   EXPECT_EQ(calls.value(), before + 2);
 }
 
-// The scratch-reusing Bluestein must produce bitwise-identical output to
-// the historical per-call-allocating variant: same plan, same radix-2
-// arithmetic, only the buffer's provenance differs.
-TEST(BluesteinScratchTest, ReusedScratchBitwiseMatchesAllocating) {
-  for (long n : {21L, 168L, 251L}) {
-    Rng rng(static_cast<std::uint64_t>(n));
-    const std::vector<Complex> x = random_signal(static_cast<std::size_t>(n), rng);
-    for (bool inverse : {false, true}) {
-      std::vector<Complex> reused = x;
-      std::vector<Complex> alloc = x;
-      detail::bluestein_inplace(reused, inverse, /*reuse_scratch=*/true);
-      detail::bluestein_inplace(alloc, inverse, /*reuse_scratch=*/false);
-      for (std::size_t k = 0; k < x.size(); ++k) {
-        EXPECT_EQ(reused[k].real(), alloc[k].real()) << "n=" << n << " k=" << k;
-        EXPECT_EQ(reused[k].imag(), alloc[k].imag()) << "n=" << n << " k=" << k;
+// ---------------------------------------------------------------------------
+// Bitwise contract: every entry point of the lane-batched engine equals the
+// scalar reference (tests/reference) bit for bit, at every lane count.
+
+// Lengths: radix-2 (2..1024), Bluestein at odd, prime and composite
+// lengths, and the paper's T = 24, 168 and 504 (k = 3).
+const long kBitwiseLengths[] = {1, 2, 3, 8, 16, 21, 24, 48, 72, 100, 168, 251, 504, 512, 1024};
+
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// Test signals with exact +0.0 and -0.0, chosen by seed % 3: uniform
+// values with zeros planted at fixed strides; nothing but signed zeros;
+// or one impulse among signed zeros. The last two make transforms whose
+// outputs are exact zeros, so any reordered sign-of-zero arithmetic shows
+// up in the bits.
+std::vector<double> signed_zero_signal(long n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> x(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double sign = rng.uniform(-1, 1) < 0 ? -1.0 : 1.0;
+    switch (seed % 3) {
+      case 0:
+        x[i] = i % 5 == 1 ? 0.0 : i % 7 == 2 ? -0.0 : rng.uniform(-1, 1);
+        break;
+      case 1:
+        x[i] = sign * 0.0;
+        break;
+      default:
+        x[i] = i == (seed / 3) % x.size() ? sign : sign * 0.0;
+        break;
+    }
+  }
+  return x;
+}
+
+std::vector<Complex> signed_zero_complex(long n, std::uint64_t seed) {
+  const std::vector<double> re = signed_zero_signal(n, seed);
+  const std::vector<double> im = signed_zero_signal(n, seed + 1000);
+  std::vector<Complex> out(re.size());
+  for (std::size_t i = 0; i < re.size(); ++i) {
+    out[i] = Complex(i % 3 == 0 ? -0.0 : re[i], im[i]);
+  }
+  return out;
+}
+
+void expect_bitwise(const std::vector<Complex>& got, const std::vector<Complex>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    ASSERT_EQ(bits(got[k].real()), bits(want[k].real())) << what << " re[" << k << "]";
+    ASSERT_EQ(bits(got[k].imag()), bits(want[k].imag())) << what << " im[" << k << "]";
+  }
+}
+
+void expect_bitwise(const std::vector<double>& got, const std::vector<double>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    ASSERT_EQ(bits(got[k]), bits(want[k])) << what << " [" << k << "]";
+  }
+}
+
+std::string where(const char* fn, long n, long lanes = 1, long lane = 0) {
+  return std::string(fn) + " n=" + std::to_string(n) + " lanes=" + std::to_string(lanes) +
+         " lane=" + std::to_string(lane);
+}
+
+// Every length with each of the three signal patterns (seed % 3).
+std::vector<std::uint64_t> pattern_seeds(long n) {
+  const auto base = 3 * static_cast<std::uint64_t>(n);
+  return {base, base + 1, base + 2};
+}
+
+TEST(FftBitwiseTest, PerSeriesEntryPointsMatchScalarReference) {
+  for (long n : kBitwiseLengths) {
+    for (std::uint64_t seed : pattern_seeds(n)) {
+      for (bool inverse : {false, true}) {
+        std::vector<Complex> got = signed_zero_complex(n, seed);
+        std::vector<Complex> want = got;
+        fft_inplace(got, inverse);
+        reference::fft_inplace(want, inverse);
+        expect_bitwise(got, want, where(inverse ? "ifft" : "fft", n));
+      }
+      const std::vector<double> x = signed_zero_signal(n, seed);
+      expect_bitwise(rfft(x), reference::rfft(x), where("rfft", n));
+      const std::vector<Complex> spec = signed_zero_complex(n / 2 + 1, seed);
+      expect_bitwise(irfft(spec, n), reference::irfft(spec, n), where("irfft", n));
+    }
+  }
+}
+
+TEST(FftBitwiseTest, ForcedBluesteinMatchesScalarReference) {
+  for (long n : kBitwiseLengths) {
+    for (std::uint64_t seed : pattern_seeds(n)) {
+      for (bool inverse : {false, true}) {
+        std::vector<Complex> got = signed_zero_complex(n, seed);
+        std::vector<Complex> want = got;
+        detail::bluestein_inplace(got, inverse);
+        reference::bluestein_inplace(want, inverse);
+        expect_bitwise(got, want, where("bluestein", n));
+      }
+      const std::vector<double> x = signed_zero_signal(n, seed);
+      expect_bitwise(detail::rfft_bluestein(x), reference::rfft_bluestein(x),
+                     where("rfft_bluestein", n));
+    }
+  }
+}
+
+// Exhaustive sign-of-zero check at short lengths: every assignment of
+// +0.0/-0.0 to the inputs, so each zero-sign rule of the scalar
+// arithmetic is exercised somewhere.
+TEST(FftBitwiseTest, EverySignedZeroInputMatchesScalarReference) {
+  const auto zero = [](unsigned mask, long i) { return (mask >> i) & 1U ? -0.0 : 0.0; };
+  for (long n : {2L, 3L, 4L, 8L}) {
+    for (unsigned mask = 0; mask < (1U << n); ++mask) {
+      std::vector<double> x(static_cast<std::size_t>(n));
+      for (long i = 0; i < n; ++i) x[static_cast<std::size_t>(i)] = zero(mask, i);
+      expect_bitwise(rfft(x), reference::rfft(x), where("rfft", n));
+    }
+    const long bins = n / 2 + 1;
+    for (unsigned mask = 0; mask < (1U << (2 * bins)); ++mask) {
+      std::vector<Complex> spec(static_cast<std::size_t>(bins));
+      for (long k = 0; k < bins; ++k) {
+        spec[static_cast<std::size_t>(k)] = Complex(zero(mask, 2 * k), zero(mask, 2 * k + 1));
+      }
+      expect_bitwise(irfft(spec, n), reference::irfft(spec, n), where("irfft", n));
+    }
+    if (n > 4) continue;
+    for (unsigned mask = 0; mask < (1U << (2 * n)); ++mask) {
+      std::vector<Complex> a(static_cast<std::size_t>(n));
+      for (long k = 0; k < n; ++k) {
+        a[static_cast<std::size_t>(k)] = Complex(zero(mask, 2 * k), zero(mask, 2 * k + 1));
+      }
+      for (bool inverse : {false, true}) {
+        std::vector<Complex> got = a;
+        std::vector<Complex> want = a;
+        fft_inplace(got, inverse);
+        reference::fft_inplace(want, inverse);
+        expect_bitwise(got, want, where(inverse ? "ifft" : "fft", n));
       }
     }
   }
+}
+
+// Lane l of a lane-minor array: element k at [k * lanes + l].
+std::vector<double> lane_of(const std::vector<double>& a, long rows, long lanes, long l) {
+  std::vector<double> out(static_cast<std::size_t>(rows));
+  for (long k = 0; k < rows; ++k) {
+    out[static_cast<std::size_t>(k)] = a[static_cast<std::size_t>(k * lanes + l)];
+  }
+  return out;
+}
+
+TEST(FftBitwiseTest, LaneEntryPointsMatchScalarReferencePerLane) {
+  for (long lanes : {1L, 3L, 16L, 64L}) {
+    for (long n : kBitwiseLengths) {
+      const long bins = n / 2 + 1;
+      const auto rows = static_cast<std::size_t>(n * lanes);
+      std::vector<std::vector<Complex>> series;
+      std::vector<std::vector<double>> reals;
+      std::vector<std::vector<Complex>> spectra;
+      std::vector<double> re(rows), im(rows), x(rows);
+      std::vector<double> spec_re(static_cast<std::size_t>(bins * lanes));
+      std::vector<double> spec_im(spec_re.size());
+      for (long l = 0; l < lanes; ++l) {
+        // Consecutive lanes cycle through the three signal patterns.
+        const auto seed = static_cast<std::uint64_t>(n * 100 + l);
+        series.push_back(signed_zero_complex(n, seed));
+        reals.push_back(signed_zero_signal(n, seed + 1));
+        spectra.push_back(signed_zero_complex(bins, seed + 2));
+        for (long k = 0; k < n; ++k) {
+          const auto at = static_cast<std::size_t>(k * lanes + l);
+          re[at] = series.back()[static_cast<std::size_t>(k)].real();
+          im[at] = series.back()[static_cast<std::size_t>(k)].imag();
+          x[at] = reals.back()[static_cast<std::size_t>(k)];
+        }
+        for (long k = 0; k < bins; ++k) {
+          const auto at = static_cast<std::size_t>(k * lanes + l);
+          spec_re[at] = spectra.back()[static_cast<std::size_t>(k)].real();
+          spec_im[at] = spectra.back()[static_cast<std::size_t>(k)].imag();
+        }
+      }
+      for (bool inverse : {false, true}) {
+        std::vector<double> got_re = re, got_im = im;
+        fft_lanes(got_re.data(), got_im.data(), n, lanes, inverse);
+        for (long l = 0; l < lanes; ++l) {
+          std::vector<Complex> want = series[static_cast<std::size_t>(l)];
+          reference::fft_inplace(want, inverse);
+          std::vector<double> want_re, want_im;
+          for (const Complex& c : want) {
+            want_re.push_back(c.real());
+            want_im.push_back(c.imag());
+          }
+          const std::string what = where(inverse ? "ifft_lanes" : "fft_lanes", n, lanes, l);
+          expect_bitwise(lane_of(got_re, n, lanes, l), want_re, what + " re");
+          expect_bitwise(lane_of(got_im, n, lanes, l), want_im, what + " im");
+        }
+      }
+      std::vector<double> out_re(spec_re.size()), out_im(spec_re.size()), out_x(rows);
+      rfft_lanes(x.data(), n, lanes, out_re.data(), out_im.data());
+      irfft_lanes(spec_re.data(), spec_im.data(), n, lanes, out_x.data());
+      for (long l = 0; l < lanes; ++l) {
+        std::vector<Complex> got(static_cast<std::size_t>(bins));
+        for (long k = 0; k < bins; ++k) {
+          got[static_cast<std::size_t>(k)] =
+              Complex(out_re[static_cast<std::size_t>(k * lanes + l)],
+                      out_im[static_cast<std::size_t>(k * lanes + l)]);
+        }
+        expect_bitwise(got, reference::rfft(reals[static_cast<std::size_t>(l)]),
+                       where("rfft_lanes", n, lanes, l));
+        expect_bitwise(lane_of(out_x, n, lanes, l),
+                       reference::irfft(spectra[static_cast<std::size_t>(l)], n),
+                       where("irfft_lanes", n, lanes, l));
+      }
+    }
+  }
+}
+
+// Counters count transforms, one per lane; the seconds histogram and the
+// profile node see one observation per batched call.
+TEST(FftLanesTest, CountersCountTransformsTimerCountsCalls) {
+  obs::Registry& registry = obs::Registry::instance();
+  obs::Counter& calls = registry.counter("fft.calls");
+  obs::Counter& bluestein_calls = registry.counter("fft.bluestein_calls");
+  obs::Counter& fast_calls = registry.counter("fft.rfft_fast_calls");
+  obs::Histogram& seconds = registry.histogram("fft.seconds");
+  const std::uint64_t calls0 = calls.value();
+  const std::uint64_t bluestein0 = bluestein_calls.value();
+  const std::uint64_t fast0 = fast_calls.value();
+  const std::uint64_t seconds0 = seconds.count();
+  const long lanes = 20;
+  std::vector<double> x(static_cast<std::size_t>(168 * lanes), 1.0);
+  std::vector<double> re(static_cast<std::size_t>(85 * lanes)), im(re.size());
+  rfft_lanes(x.data(), 168, lanes, re.data(), im.data());
+  EXPECT_EQ(calls.value(), calls0 + 20);
+  EXPECT_EQ(bluestein_calls.value(), bluestein0 + 20);
+  EXPECT_EQ(seconds.count(), seconds0 + 1);
+  std::vector<double> y(static_cast<std::size_t>(64 * lanes), 1.0);
+  rfft_lanes(y.data(), 64, lanes, re.data(), im.data());
+  EXPECT_EQ(fast_calls.value(), fast0 + 20);
+  EXPECT_EQ(calls.value(), calls0 + 20);
 }
 
 }  // namespace

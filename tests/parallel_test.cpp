@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -317,7 +318,9 @@ TEST(ParallelDeterminismTest, StreamedCityBitwiseEqualsDensePath) {
   for (const geo::OverlapAggregation aggregation :
        {geo::OverlapAggregation::kMean, geo::OverlapAggregation::kMedian}) {
     const geo::CityTensor dense = run_citygen_24(1, aggregation, /*streamed=*/false);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    // Two threads is the benchmark's citygen setting: the caller's chunk
+    // and a worker's both run their nested regions inline.
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       const geo::CityTensor streamed = run_citygen_24(threads, aggregation, /*streamed=*/true);
       ASSERT_EQ(streamed.size(), dense.size());
       for (long i = 0; i < dense.size(); ++i) {
@@ -401,6 +404,33 @@ TEST(ParallelForTest, NestedParallelForOnSamePoolDoesNotDeadlock) {
   EXPECT_EQ(count.load(), 32);
 }
 
+// The calling thread's own chunk is a parallel region too: a nested call
+// made there runs inline on the caller, as it does on a worker, instead
+// of waking idle workers for every small nested region.
+TEST(ParallelForTest, NestedCallInCallerChunkRunsInline) {
+  ThreadsOverride guard(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> nested_chunks;
+  std::vector<std::thread::id> nested_threads;
+  bool caller_in_region = false;
+  parallel_for(4, 1, [&](std::size_t begin, std::size_t) {
+    if (begin != 0) return;
+    caller_in_region = ThreadPool::in_parallel_region();
+    parallel_for(64, 1, [&](std::size_t b, std::size_t e) {
+      std::lock_guard lock(mu);
+      nested_chunks.push_back({b, e});
+      nested_threads.push_back(std::this_thread::get_id());
+    });
+  });
+  EXPECT_TRUE(caller_in_region);
+  ASSERT_EQ(nested_chunks.size(), 1u);
+  EXPECT_EQ(nested_chunks[0], (std::pair<std::size_t, std::size_t>{0, 64}));
+  EXPECT_EQ(nested_threads[0], caller);
+  // The marker ends with the region: a later call fans out again.
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
+}
+
 TEST(ParallelForTest, NestedFreeParallelForDoesNotDeadlock) {
   ThreadsOverride guard(4);
   std::atomic<int> count{0};
@@ -436,8 +466,10 @@ TEST(ParallelForTest, ExceptionPropagatesFromCallerChunk) {
     FAIL() << "exception swallowed";
   } catch (const Error&) {
   }
-  // The remaining chunks still ran to completion before the rethrow.
+  // The remaining chunks still ran to completion before the rethrow, and
+  // the caller left its parallel region.
   EXPECT_EQ(completed.load(), 75);
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
 }
 
 TEST(ParallelForTest, SerialThreadCountRunsInline) {
