@@ -26,6 +26,7 @@
 #include "nn/init.h"
 #include "nn/lstm.h"
 #include "nn/ops.h"
+#include "reference/lstm_reference.h"
 #include "util/env.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -176,12 +177,14 @@ KernelResult bench_lstm_train_step(const std::string& name, long T, long B, long
   // projection per step and the op-by-op gate composition. (`step()` now
   // runs the fused kernel, so composing the reference from it would hide
   // part of the win inside the baseline.)
+  const std::vector<nn::Var> params = lstm.cell().parameters();  // weight_x, weight_h, bias
   r.seconds_ref = time_kernel([&] {
     zero_params();
     std::vector<nn::Var> outputs;
     nn::LstmState state = lstm.cell().initial_state(B);
     for (const nn::Var& x : inputs) {
-      state = lstm.cell().step_projected_unfused(lstm.cell().project_input(x), state);
+      state = reference::lstm_step_unfused(lstm.cell().project_input(x), state, params[1],
+                                           params[2]);
       outputs.push_back(lstm.head().forward(state.h));
     }
     accumulate_loss(outputs).backward();
@@ -221,6 +224,7 @@ KernelResult bench_lstm_fused_train(const std::string& name, long T, long B, lon
   auto zero_params = [&] {
     for (nn::Var& p : lstm.parameters()) p.zero_grad();
   };
+  const std::vector<nn::Var> params = lstm.cell().parameters();  // weight_x, weight_h, bias
   r.seconds_ref = time_kernel([&] {
     zero_params();
     nn::Var all = nn::concat_axis(inputs, /*axis=*/0);
@@ -229,7 +233,7 @@ KernelResult bench_lstm_fused_train(const std::string& name, long T, long B, lon
     std::vector<nn::Var> outputs;
     for (long t = 0; t < T; ++t) {
       nn::Var x_proj = nn::slice_axis(all_proj, /*axis=*/0, t * B, B);
-      state = lstm.cell().step_projected_unfused(x_proj, state);
+      state = reference::lstm_step_unfused(x_proj, state, params[1], params[2]);
       outputs.push_back(lstm.head().forward(state.h));
     }
     accumulate_loss(outputs).backward();

@@ -34,8 +34,10 @@ bool cpu_supports(SimdLevel level) {
     case SimdLevel::kGeneric:
       return true;
     case SimdLevel::kAvx2:
+      // FMA too: the level's gate activations port glibc's FMA expf,
+      // which glibc itself selects only on FMA+AVX2 CPUs.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-      return __builtin_cpu_supports("avx2") != 0;
+      return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("fma") != 0;
 #else
       return false;
 #endif

@@ -76,7 +76,7 @@ void micro_kernel(long kc, const float* __restrict a, long a_row_stride, long a_
   Vf acc[static_cast<std::size_t>(MR_)][static_cast<std::size_t>(NV)] = {};
   for (long p = 0; p < kc; ++p) {
     const Vf* brow = reinterpret_cast<const Vf*>(bp + p * kNRv);
-    Vf bv[NV];
+    Vf bv[static_cast<std::size_t>(NV)];
     for (int v = 0; v < NV; ++v) bv[v] = brow[v];
     for (int i = 0; i < MR_; ++i) {
       const float av = a[i * a_row_stride + p * a_col_stride];

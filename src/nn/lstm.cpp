@@ -48,23 +48,9 @@ LstmState LSTMCell::step_projected(const Var& x_proj, const LstmState& state) co
     obs::profile_add_work(40.0 * bh, 10.0 * bh * 4.0);
   }
   // Single fused gate kernel (two autograd nodes) instead of the ~12-node
-  // unfused composition below; bitwise-identical forward and backward
-  // (asserted by layers_test against step_projected_unfused).
+  // unfused composition; bitwise-identical forward and backward
+  // (asserted by layers_test against tests/reference/lstm_reference).
   auto [h_next, c_next] = lstm_fused_step(x_proj, state.h, state.c, weight_h_, bias_);
-  return {h_next, c_next};
-}
-
-LstmState LSTMCell::step_projected_unfused(const Var& x_proj, const LstmState& state) const {
-  SG_CHECK(x_proj.value().rank() == 2 && x_proj.value().dim(1) == 4 * hidden_size_,
-           "LSTMCell projected input must be [B, 4*hidden]");
-  Var gates = add_rowvec(add(x_proj, matmul(state.h, weight_h_)), bias_);
-  const long H = hidden_size_;
-  Var i = sigmoid(slice_cols(gates, 0, H));
-  Var f = sigmoid(slice_cols(gates, H, H));
-  Var g = vtanh(slice_cols(gates, 2 * H, H));
-  Var o = sigmoid(slice_cols(gates, 3 * H, H));
-  Var c_next = add(mul(f, state.c), mul(i, g));
-  Var h_next = mul(o, vtanh(c_next));
   return {h_next, c_next};
 }
 

@@ -40,13 +40,6 @@ class LSTMCell : public Module {
   // pair per step instead of the ~12-node op composition.
   LstmState step_projected(const Var& x_proj, const LstmState& state) const;
 
-  // The pre-fusion op-by-op composition (add_rowvec/slice/sigmoid/tanh/
-  // mul chains). Kept as the reference the fused kernel is tested
-  // bitwise against, and as the honest baseline for bench_kernels'
-  // lstm speedup entries. Produces identical values and gradients to
-  // step_projected, just slower.
-  LstmState step_projected_unfused(const Var& x_proj, const LstmState& state) const;
-
   long input_size() const { return input_size_; }
   long hidden_size() const { return hidden_size_; }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "nn/activations.h"
 #include "nn/gemm.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -140,17 +141,7 @@ Var vtanh(const Var& a) {
 
 Var sigmoid(const Var& a) {
   return unary_op(
-      a,
-      [](float x) {
-        // Stable logistic for both signs of x.
-        if (x >= 0.0f) {
-          const float e = std::exp(-x);
-          return 1.0f / (1.0f + e);
-        }
-        const float e = std::exp(x);
-        return e / (1.0f + e);
-      },
-      [](float, float y) { return y * (1.0f - y); });
+      a, [](float x) { return stable_sigmoid(x); }, [](float, float y) { return y * (1.0f - y); });
 }
 
 Var vexp(const Var& a) {
@@ -452,17 +443,6 @@ Var linear(const Var& x, const Var& weight, const Var& bias) {
 
 namespace {
 
-// Stable logistic — the exact expression sigmoid() uses; the fused LSTM
-// kernel must match the unfused op bitwise.
-inline float stable_sigmoid(float x) {
-  if (x >= 0.0f) {
-    const float e = std::exp(-x);
-    return 1.0f / (1.0f + e);
-  }
-  const float e = std::exp(x);
-  return e / (1.0f + e);
-}
-
 // Scratch slot the fused LSTM borrows from the GEMM workspace (gemm.h):
 // [B,4H] gate pre-activations on the forward pass, [B,4H] gate
 // gradients on the backward pass. Disjoint from slot 0, which the
@@ -504,25 +484,31 @@ std::pair<Var, Var> lstm_fused_step(const Var& x_proj, const Var& h_prev, const 
   auto tanh_c = std::make_shared<Tensor>(Shape{batch, hidden});
   Tensor c_out(Shape{batch, hidden});
   Tensor h_out(Shape{batch, hidden});
+  // Passes over each row: pre-activation, the gate activations in place
+  // (act:: runs them at the SIMD level's width, bitwise equal to the
+  // scalar sigmoid/vtanh ops), then the cell update; tanh(c) and h
+  // follow over the whole [B,H] block.
+  const auto h = static_cast<std::size_t>(hidden);
   for (long r = 0; r < batch; ++r) {
     const float* xrow = xp.data() + r * gates;
     const float* prow = pre + r * gates;
     float* arow = acts->data() + r * gates;
-    for (long j = 0; j < gates; ++j) {
-      const float z = (xrow[j] + prow[j]) + bv[j];
-      arow[j] = (j < 2 * hidden || j >= 3 * hidden) ? stable_sigmoid(z) : std::tanh(z);
-    }
+    for (long j = 0; j < gates; ++j) arow[j] = (xrow[j] + prow[j]) + bv[j];
+    act::sigmoid(arow, arow, 2 * h);
+    act::tanh(arow + 2 * h, arow + 2 * h, h);
+    act::sigmoid(arow + 3 * h, arow + 3 * h, h);
     const float* cprow = cpv.data() + r * hidden;
     float* crow = c_out.data() + r * hidden;
-    float* hrow = h_out.data() + r * hidden;
-    float* tcrow = tanh_c->data() + r * hidden;
     for (long j = 0; j < hidden; ++j) {
-      const float cv = (arow[hidden + j] * cprow[j]) + (arow[j] * arow[2 * hidden + j]);
-      crow[j] = cv;
-      const float tc = std::tanh(cv);
-      tcrow[j] = tc;
-      hrow[j] = arow[3 * hidden + j] * tc;
+      crow[j] = (arow[hidden + j] * cprow[j]) + (arow[j] * arow[2 * hidden + j]);
     }
+  }
+  act::tanh(c_out.data(), tanh_c->data(), static_cast<std::size_t>(batch) * h);
+  for (long r = 0; r < batch; ++r) {
+    const float* orow = acts->data() + r * gates + 3 * hidden;
+    const float* tcrow = tanh_c->data() + r * hidden;
+    float* hrow = h_out.data() + r * hidden;
+    for (long j = 0; j < hidden; ++j) hrow[j] = orow[j] * tcrow[j];
   }
 
   // Side-channel from the h node's backward into the c node's backward:
@@ -613,13 +599,12 @@ std::pair<Var, Var> lstm_fused_step(const Var& x_proj, const Var& h_prev, const 
 
   Var h_var = Var::make_op(
       std::move(h_out), {c_var},
-      [batch, hidden, acts, tanh_c, dh_buf](const Tensor& dh, std::vector<Var>& parents) {
+      [batch, hidden, gates, acts, tanh_c, dh_buf](const Tensor& dh, std::vector<Var>& parents) {
         if (!parents[0].requires_grad()) return;
         *dh_buf = dh;  // stashed for the c node's o-gate gradient
         // Tanh-path term of the cell gradient: dc += (dh ⊙ o)(1 − tanh²c)
         // — the unfused mul-then-vtanh backward chain.
         Tensor& gc = parents[0].grad_storage();
-        const long gates = 4 * hidden;
         for (long r = 0; r < batch; ++r) {
           const float* arow = acts->data() + r * gates;
           const float* tcrow = tanh_c->data() + r * hidden;
@@ -666,10 +651,7 @@ Var bce_with_logits(const Var& logits, const Var& target) {
                         if (parents[0].requires_grad()) {
                           Tensor& gz = parents[0].grad_storage();
                           for (long i = 0; i < n; ++i) {
-                            const float zi = pz[i];
-                            const float sig = zi >= 0.0f ? 1.0f / (1.0f + std::exp(-zi))
-                                                         : std::exp(zi) / (1.0f + std::exp(zi));
-                            gz[i] += scale * (sig - pt[i]);
+                            gz[i] += scale * (stable_sigmoid(pz[i]) - pt[i]);
                           }
                         }
                         // Targets are constants in every caller; no grad needed.

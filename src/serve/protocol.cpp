@@ -2,8 +2,10 @@
 
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <utility>
 
+#include "geo/city_tensor.h"
 #include "obs/metrics.h"
 
 namespace spectra::serve {
@@ -147,14 +149,18 @@ WireRequest decode_request(const std::vector<std::uint8_t>& payload) {
   if (request.steps <= 0 || request.channels <= 0 || request.height <= 0 || request.width <= 0) {
     throw ProtocolError("request shape must be positive");
   }
-  const std::size_t cells = static_cast<std::size_t>(request.channels) *
-                            static_cast<std::size_t>(request.height) *
-                            static_cast<std::size_t>(request.width);
-  if (r.remaining() != cells * sizeof(double)) {
+  const std::optional<long> cells =
+      geo::checked_element_count(request.channels, request.height, request.width);
+  std::size_t context_bytes = 0;
+  if (!cells ||
+      __builtin_mul_overflow(static_cast<std::size_t>(*cells), sizeof(double), &context_bytes)) {
+    throw ProtocolError("declared context shape overflows");
+  }
+  if (r.remaining() != context_bytes) {
     throw ProtocolError("context size does not match declared shape");
   }
-  request.context.resize(cells);
-  r.f64s(request.context.data(), cells);
+  request.context.resize(static_cast<std::size_t>(*cells));
+  r.f64s(request.context.data(), request.context.size());
   r.expect_end();
   return request;
 }
@@ -291,18 +297,16 @@ obs::Counter& protocol_errors() {
   return c;
 }
 
-}  // namespace
+struct InFlight {
+  RequestHandle handle;
+  std::unique_ptr<DaemonRowSink> sink;
+};
 
-DaemonStats daemon_loop(std::FILE* in, std::FILE* out, Server& server) {
-  FrameWriter writer(out);
-  DaemonStats stats;
-  struct InFlight {
-    RequestHandle handle;
-    std::unique_ptr<DaemonRowSink> sink;
-  };
-  std::vector<InFlight> inflight;
+// The frame loop of daemon_loop: submits each decoded request and keeps
+// its handle and sink in `inflight` until it reaches a terminal state.
+void serve_frames(std::FILE* in, FrameWriter& writer, Server& server, DaemonStats& stats,
+                  std::vector<InFlight>& inflight) {
   std::vector<std::uint8_t> payload;
-
   for (;;) {
     bool got = false;
     try {
@@ -351,10 +355,26 @@ DaemonStats daemon_loop(std::FILE* in, std::FILE* out, Server& server) {
     ++stats.requests;
     inflight.push_back(InFlight{std::move(handle), std::move(sink)});
   }
+}
 
+}  // namespace
+
+DaemonStats daemon_loop(std::FILE* in, std::FILE* out, Server& server) {
+  FrameWriter writer(out);
+  DaemonStats stats;
+  std::vector<InFlight> inflight;
   // Sinks and the writer must outlive every worker that might touch
-  // them: drain before returning.
-  for (InFlight& f : inflight) f.handle.wait();
+  // them, so every exit drains first, an escaping exception included.
+  auto drain = [&inflight] {
+    for (InFlight& f : inflight) f.handle.wait();
+  };
+  try {
+    serve_frames(in, writer, server, stats, inflight);
+  } catch (...) {
+    drain();
+    throw;
+  }
+  drain();
   return stats;
 }
 

@@ -9,6 +9,7 @@
 
 #include "nn/autograd.h"
 #include "nn/conv.h"
+#include "nn/lstm.h"
 #include "nn/ops.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -286,6 +287,53 @@ TEST(GradCheck, Conv2dStride2) {
         return mean(mul(y, y));
       },
       {x, w, b}, 1e-2f, 3e-2f);
+}
+
+TEST(GradCheck, LstmFusedStep) {
+  // Inputs x_proj [B,4H], h_prev, c_prev [B,H], W_h [H,4H], b [4H]. The
+  // loss weighs h and c unevenly so every gate's gradient path counts.
+  const long B = 3, H = 5;
+  Rng rng(11);
+  const std::vector<Tensor> inputs = {random_tensor({B, 4 * H}, rng), random_tensor({B, H}, rng),
+                                      random_tensor({B, H}, rng),
+                                      random_tensor({H, 4 * H}, rng, 0.5f),
+                                      random_tensor({4 * H}, rng, 0.5f)};
+  const Var h_weight = Var::constant(random_tensor({B, H}, rng));
+  const Var c_weight = Var::constant(random_tensor({B, H}, rng));
+  check_gradients(
+      [&](const std::vector<Var>& in) {
+        auto [h, c] = lstm_fused_step(in[0], in[1], in[2], in[3], in[4]);
+        return add(sum(mul(h, h_weight)), sum(mul(c, c_weight)));
+      },
+      inputs);
+
+  // Loss through c only: h is unused, so the o-gate gradient is exactly 0.
+  auto c_only = [&](const std::vector<Var>& in) {
+    return sum(mul(lstm_fused_step(in[0], in[1], in[2], in[3], in[4]).second, c_weight));
+  };
+  check_gradients(c_only, inputs);
+  std::vector<Var> leaves;
+  for (const Tensor& t : inputs) leaves.push_back(Var::leaf(t));
+  c_only(leaves).backward();
+  for (long r = 0; r < B; ++r) {
+    for (long j = 3 * H; j < 4 * H; ++j) EXPECT_EQ(leaves[0].grad()[r * 4 * H + j], 0.0f);
+  }
+  for (long j = 3 * H; j < 4 * H; ++j) EXPECT_EQ(leaves[4].grad()[j], 0.0f);
+}
+
+TEST(GradCheck, ConvLstmStep) {
+  // Inputs x [B,C,H,W], h_prev, c_prev [B,hidden,H,W] through one cell step.
+  Rng rng(12);
+  const ConvLSTMCell cell(2, 3, 3, rng);
+  const Var h_weight = Var::constant(random_tensor({1, 3, 4, 4}, rng));
+  const Var c_weight = Var::constant(random_tensor({1, 3, 4, 4}, rng));
+  check_gradients(
+      [&](const std::vector<Var>& in) {
+        const LstmState next = cell.step(in[0], LstmState{in[1], in[2]});
+        return add(sum(mul(next.h, h_weight)), sum(mul(next.c, c_weight)));
+      },
+      {random_tensor({1, 2, 4, 4}, rng), random_tensor({1, 3, 4, 4}, rng),
+       random_tensor({1, 3, 4, 4}, rng)});
 }
 
 TEST(OpsShapeTest, Conv2dGeometry) {

@@ -7,6 +7,7 @@
 #include "nn/lstm.h"
 #include "nn/optim.h"
 #include "nn/serialize.h"
+#include "reference/lstm_reference.h"
 #include "util/error.h"
 
 namespace spectra::nn {
@@ -247,6 +248,12 @@ INSTANTIATE_TEST_SUITE_P(Widths, MlpWidthTest, testing::Values(4L, 8L, 16L));
 // forward values AND gradients: same per-element expressions, same
 // accumulation order as the add_rowvec/slice/sigmoid/tanh/mul chain.
 
+// The reference step over the cell's own recurrent weight and bias.
+LstmState unfused_step(const LSTMCell& cell, const Var& x_proj, const LstmState& state) {
+  const std::vector<Var> params = cell.parameters();  // weight_x, weight_h, bias
+  return reference::lstm_step_unfused(x_proj, state, params[1], params[2]);
+}
+
 void expect_bitwise(const Tensor& a, const Tensor& b, const char* what) {
   ASSERT_EQ(a.numel(), b.numel()) << what;
   for (long i = 0; i < a.numel(); ++i) {
@@ -274,7 +281,7 @@ TEST(LstmFusedTest, SingleStepMatchesUnfusedBitwise) {
     LstmState state{h0, c0};
     Var x_proj = cell.project_input(x);
     LstmState next =
-        fused ? cell.step_projected(x_proj, state) : cell.step_projected_unfused(x_proj, state);
+        fused ? cell.step_projected(x_proj, state) : unfused_step(cell, x_proj, state);
     // Loss touches both outputs so every gradient path (incl. the o-gate
     // dh side-channel and the direct dc path) is exercised.
     Var loss = add(sum(next.h), sum(next.c));
@@ -325,7 +332,7 @@ TEST(LstmFusedTest, TrainerShapeSequenceMatchesUnfusedBitwise) {
       LstmState state = lstm.cell().initial_state(kBatch);
       for (long t = 0; t < kSteps; ++t) {
         Var x_proj = slice_axis(all_proj, 0, t * kBatch, kBatch);
-        state = lstm.cell().step_projected_unfused(x_proj, state);
+        state = unfused_step(lstm.cell(), x_proj, state);
         outs.push_back(apply_activation(lstm.head().forward(state.h), Activation::kTanh));
       }
     }
@@ -363,7 +370,7 @@ TEST(LstmFusedTest, UnusedFinalStateHMatchesUnfused) {
     LstmState state = cell.initial_state(3);
     Var x_proj = cell.project_input(x);
     LstmState next =
-        fused ? cell.step_projected(x_proj, state) : cell.step_projected_unfused(x_proj, state);
+        fused ? cell.step_projected(x_proj, state) : unfused_step(cell, x_proj, state);
     Var loss = sum(next.c);
     loss.backward();
     std::vector<Tensor> grads{x.grad()};

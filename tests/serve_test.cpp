@@ -9,6 +9,7 @@
 
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -62,6 +63,38 @@ Request tiny_request(std::uint64_t seed) {
   request.steps = tiny_config().train_steps;
   request.context = tiny_context(tiny_config().context_channels);
   return request;
+}
+
+WireRequest tiny_wire(std::uint64_t id, std::uint64_t seed) {
+  WireRequest w;
+  w.id = id;
+  w.seed = seed;
+  w.steps = tiny_config().train_steps;
+  w.channels = tiny_config().context_channels;
+  w.height = kGrid;
+  w.width = kGrid;
+  w.context = tiny_context(tiny_config().context_channels).values();
+  return w;
+}
+
+// An SGRQ payload declaring channels = 2^21 and height = width = 2^20
+// with no context bytes: 2^61 cells, whose byte count wraps a 64-bit
+// size_t to exactly the 0 bytes present.
+std::vector<std::uint8_t> overflowing_request_payload() {
+  WireRequest request;
+  request.id = 5;
+  request.seed = 6;
+  request.steps = 4;
+  request.channels = 1;
+  request.height = 1;
+  request.width = 1;
+  request.context = {0.0};
+  std::vector<std::uint8_t> payload = encode_request(request);
+  payload.resize(payload.size() - sizeof(double));
+  // channels, height, width follow type, version, id, seed and steps.
+  const std::uint32_t extents[3] = {1u << 21, 1u << 20, 1u << 20};
+  std::memcpy(payload.data() + 28, extents, sizeof extents);
+  return payload;
 }
 
 geo::CityTensor direct_city(std::uint64_t seed) {
@@ -320,6 +353,10 @@ TEST(ServeProtocolTest, MalformedPayloadsThrowTyped) {
   EXPECT_THROW(decode_done(good), ProtocolError);  // wrong frame type
 }
 
+TEST(ServeProtocolTest, OverflowingContextShapeThrowsTyped) {
+  EXPECT_THROW(decode_request(overflowing_request_payload()), ProtocolError);
+}
+
 // --- daemon loop ------------------------------------------------------------
 
 // Drive daemon_loop in-process over tmpfile streams: two valid requests
@@ -332,29 +369,17 @@ TEST(ServeDaemonTest, CorruptRequestsAnsweredWithoutDaemonDeath) {
   const std::uint64_t errors_before = proto_errors.value();
 
   const core::SpectraGanConfig config = tiny_config();
-  auto make_wire = [&](std::uint64_t id, std::uint64_t seed) {
-    WireRequest w;
-    w.id = id;
-    w.seed = seed;
-    w.steps = config.train_steps;
-    w.channels = config.context_channels;
-    w.height = kGrid;
-    w.width = kGrid;
-    w.context = tiny_context(config.context_channels).values();
-    return w;
-  };
-
   std::FILE* in = std::tmpfile();
   std::FILE* out = std::tmpfile();
   ASSERT_NE(in, nullptr);
   ASSERT_NE(out, nullptr);
 
-  write_frame(in, encode_request(make_wire(7, 200)));
+  write_frame(in, encode_request(tiny_wire(7, 200)));
   write_frame(in, std::vector<std::uint8_t>{0xDE, 0xAD, 0xBE, 0xEF, 0x00});  // bad magic
-  std::vector<std::uint8_t> torn_payload = encode_request(make_wire(8, 201));
+  std::vector<std::uint8_t> torn_payload = encode_request(tiny_wire(8, 201));
   torn_payload.resize(torn_payload.size() - 16);  // context shorter than declared shape
   write_frame(in, torn_payload);
-  write_frame(in, encode_request(make_wire(9, 202)));
+  write_frame(in, encode_request(tiny_wire(9, 202)));
   std::rewind(in);
 
   ServerOptions options;
@@ -405,6 +430,49 @@ TEST(ServeDaemonTest, CorruptRequestsAnsweredWithoutDaemonDeath) {
   EXPECT_EQ(done.at(9).rows, kGrid);
   EXPECT_EQ(cities.at(7).take().values(), direct_city(200).values());
   EXPECT_EQ(cities.at(9).take().values(), direct_city(202).values());
+
+  std::fclose(in);
+  std::fclose(out);
+}
+
+// A request whose declared shape overflows the context byte count is
+// answered with SGER like any malformed payload, and the session goes on
+// to serve the valid request behind it.
+TEST(ServeDaemonTest, OverflowingShapeAnsweredAndSessionContinues) {
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(in, nullptr);
+  ASSERT_NE(out, nullptr);
+  write_frame(in, overflowing_request_payload());
+  write_frame(in, encode_request(tiny_wire(11, 300)));
+  std::rewind(in);
+
+  Server server(tiny_model(), ServerOptions{.workers = 1, .queue_limit = 1});
+  const DaemonStats stats = daemon_loop(in, out, server);
+  server.stop();
+  EXPECT_EQ(stats.requests, 1);
+  EXPECT_EQ(stats.protocol_errors, 1);
+
+  std::rewind(out);
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(read_frame(out, payload));
+  EXPECT_EQ(frame_type(payload), FrameType::kError);
+  geo::CityTensorSink city(tiny_config().train_steps, kGrid, kGrid);
+  long done_frames = 0;
+  while (read_frame(out, payload)) {
+    if (frame_type(payload) == FrameType::kRow) {
+      const WireRow row = decode_row(payload);
+      city.consume_row(row.row, row.values);
+    } else {
+      ASSERT_EQ(frame_type(payload), FrameType::kDone);
+      const WireDone done = decode_done(payload);
+      EXPECT_EQ(done.id, 11u);
+      EXPECT_EQ(done.state, RequestState::kDone);
+      ++done_frames;
+    }
+  }
+  EXPECT_EQ(done_frames, 1);
+  EXPECT_EQ(city.take().values(), direct_city(300).values());
 
   std::fclose(in);
   std::fclose(out);
