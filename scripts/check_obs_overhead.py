@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Gate the telemetry-off overhead of the obs layer (DESIGN 6e).
 
-The PR 1 contract is that every disabled probe (SG_TRACE_SPAN,
-SG_PROFILE_SCOPE, registry counters) costs one relaxed atomic load and
-a branch.  This script measures that contract end to end: it times
+The obs layer's contract is that every disabled probe (SG_PROFILE_SCOPE,
+the one probe behind both the profile tree and the trace, and registry
+counters) costs one relaxed atomic load and a branch.  This script measures that contract end to end: it times
 `integration_test` from a probe-free build (-DSPECTRA_STRIP_PROBES=ON,
 the "seed timing") against the instrumented build with all telemetry
 env knobs unset, and fails if the instrumented-but-disabled binary is

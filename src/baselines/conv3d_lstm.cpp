@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "data/sampler.h"
+#include "geo/strip_accumulator.h"
 #include "nn/init.h"
 #include "nn/optim.h"
 #include "util/error.h"
@@ -148,7 +149,8 @@ geo::CityTensor Conv3dLstm::generate(const data::City& target, long steps, Rng& 
   const nn::Tensor shared_noise = nn::init::gaussian(
       {1, config_.noise_channels, spec.traffic_h, spec.traffic_w}, 1.0f, rng);
 
-  geo::OverlapAccumulator accumulator(steps, target.height(), target.width());
+  geo::CityTensorSink sink(steps, target.height(), target.width());
+  geo::StripAccumulator accumulator(steps, target.height(), target.width(), sink);
 
   nn::InferenceGuard no_grad;
   constexpr std::size_t kChunk = 16;
@@ -171,15 +173,15 @@ geo::CityTensor Conv3dLstm::generate(const data::City& target, long steps, Rng& 
     Var traffic = rollout(encoder_g_->forward(Var::constant(std::move(ctx_batch))),
                           Var::constant(std::move(noise)), steps);
 
-    std::vector<float> patch(static_cast<std::size_t>(steps * pixels));
+    // Patch b's [T, P] block is contiguous in the batched output.
     for (long b = 0; b < n; ++b) {
-      for (long k = 0; k < steps * pixels; ++k) {
-        patch[static_cast<std::size_t>(k)] = traffic.value()[b * steps * pixels + k];
-      }
-      accumulator.add_patch(windows[begin + static_cast<std::size_t>(b)], spec, patch);
+      accumulator.add_patch(windows[begin + static_cast<std::size_t>(b)], spec,
+                            traffic.value().data() + b * steps * pixels,
+                            static_cast<std::size_t>(steps * pixels));
     }
   }
-  geo::CityTensor city = accumulator.finalize();
+  accumulator.finish();
+  geo::CityTensor city = sink.take();
   city.clamp(0.0, std::numeric_limits<double>::infinity());
   return city;
 }

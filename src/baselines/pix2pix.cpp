@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "data/sampler.h"
+#include "geo/strip_accumulator.h"
 #include "nn/init.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -117,7 +118,6 @@ geo::CityTensor Pix2Pix::generate(const data::City& target, long steps, Rng& rng
   }
   Var hidden = encoder_g_->forward(Var::constant(std::move(ctx_batch)));
 
-  geo::OverlapAccumulator accumulator(steps, target.height(), target.width());
   std::vector<std::vector<float>> window_series(
       static_cast<std::size_t>(n), std::vector<float>(static_cast<std::size_t>(steps * pixels)));
 
@@ -139,11 +139,14 @@ geo::CityTensor Pix2Pix::generate(const data::City& target, long steps, Rng& rng
       }
     }
   }
+  geo::CityTensorSink sink(steps, target.height(), target.width());
+  geo::StripAccumulator accumulator(steps, target.height(), target.width(), sink);
   for (long b = 0; b < n; ++b) {
     accumulator.add_patch(windows[static_cast<std::size_t>(b)], spec,
                           window_series[static_cast<std::size_t>(b)]);
   }
-  geo::CityTensor city = accumulator.finalize();
+  accumulator.finish();
+  geo::CityTensor city = sink.take();
   city.clamp(0.0, std::numeric_limits<double>::infinity());
   return city;
 }

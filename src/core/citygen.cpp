@@ -2,13 +2,10 @@
 // across all patches, per-pixel overlap averaging (Eq. 2), and k-multiple
 // frequency expansion for horizons beyond the training length.
 //
-// Two sewing paths share one patch-production engine
-// (for_each_generated_patch): the streaming path finalizes rows strip by
-// strip through a RowSink in O(traffic_h x T x W) resident memory
-// (DESIGN §6f, bench_megacity), and the dense path materializes the full
-// canvas — kept as the determinism oracle the equality tests compare
-// against. Both replay accumulation serially in window order, so output
-// is bitwise independent of thread count and identical across paths.
+// Rows are finalized strip by strip through a RowSink in
+// O(traffic_h x T x W) resident memory (DESIGN §6f, bench_megacity).
+// Generator forwards fan out on the pool, but patches are sewn serially
+// in window order, so output is bitwise independent of thread count.
 
 #include <algorithm>
 #include <limits>
@@ -24,9 +21,8 @@ namespace spectra::core {
 
 namespace {
 
-// The model contract is non-negative traffic; the dense path clamps the
-// finished canvas, the streaming path clamps each row as it is emitted —
-// the same std::clamp per value, so the paths stay bitwise equal.
+// The model contract is non-negative traffic: each row is clamped as it
+// is emitted.
 class ClampRowSink : public geo::RowSink {
  public:
   explicit ClampRowSink(geo::RowSink& inner) : inner_(inner) {}
@@ -44,10 +40,21 @@ class ClampRowSink : public geo::RowSink {
 
 }  // namespace
 
-void SpectraGan::for_each_generated_patch(
-    const geo::ContextTensor& context, long steps, Rng& rng,
-    const std::function<void(const geo::PatchWindow&, const float*, std::size_t)>& consume)
-    const {
+geo::CityTensor SpectraGan::generate_city(const geo::ContextTensor& context, long steps,
+                                          Rng& rng) const {
+  SG_PROFILE_SCOPE("core/generate_city");
+  geo::CityTensorSink sink(steps, context.height(), context.width());
+  generate_city_streamed(context, steps, rng, sink);
+  return sink.take();
+}
+
+void SpectraGan::generate_city_streamed(const geo::ContextTensor& context, long steps, Rng& rng,
+                                        geo::RowSink& sink,
+                                        geo::OverlapAggregation aggregation) const {
+  SG_PROFILE_SCOPE("core/generate_city_streamed");
+  ClampRowSink clamped(sink);
+  geo::StripAccumulator accumulator(steps, context.height(), context.width(), clamped,
+                                    aggregation);
   SG_CHECK(context.steps() == config_.context_channels,
            "context channel count does not match the model");
   SG_CHECK(steps > 0 && steps % config_.train_steps == 0,
@@ -72,9 +79,9 @@ void SpectraGan::for_each_generated_patch(
 
   // One chunk = one batched generator forward. Chunks are independent, so
   // groups of up to parallel_threads() chunks run concurrently (peak
-  // memory stays bounded at threads x kChunk patches); the consumer below
-  // then replays every patch in window order on this thread, keeping the
-  // sewn city bitwise independent of thread count.
+  // memory stays bounded at threads x kChunk patches); the loop below
+  // then sews every patch in window order on this thread, keeping the
+  // city bitwise independent of thread count.
   const auto run_chunk = [&](std::size_t chunk) -> nn::Tensor {
     const std::size_t begin = chunk * kChunk;
     const std::size_t end = std::min(begin + kChunk, windows.size());
@@ -116,51 +123,14 @@ void SpectraGan::for_each_generated_patch(
       const long n = traffic.dim(0);
       for (long b = 0; b < n; ++b) {
         // The [T, P] block of patch b is contiguous in the batched
-        // output — hand it to the consumer in place, no scratch copy.
-        consume(windows[begin + static_cast<std::size_t>(b)],
-                traffic.data() + b * steps * pixels,
-                static_cast<std::size_t>(steps * pixels));
+        // output — hand it to the accumulator in place, no scratch copy.
+        accumulator.add_patch(windows[begin + static_cast<std::size_t>(b)], spec,
+                              traffic.data() + b * steps * pixels,
+                              static_cast<std::size_t>(steps * pixels));
       }
     }
   }
-}
-
-geo::CityTensor SpectraGan::generate_city(const geo::ContextTensor& context, long steps,
-                                          Rng& rng) const {
-  SG_PROFILE_SCOPE("core/generate_city");
-  geo::CityTensorSink sink(steps, context.height(), context.width());
-  generate_city_streamed(context, steps, rng, sink);
-  return sink.take();
-}
-
-void SpectraGan::generate_city_streamed(const geo::ContextTensor& context, long steps, Rng& rng,
-                                        geo::RowSink& sink,
-                                        geo::OverlapAggregation aggregation) const {
-  SG_PROFILE_SCOPE("core/generate_city_streamed");
-  ClampRowSink clamped(sink);
-  geo::StripAccumulator accumulator(steps, context.height(), context.width(), clamped,
-                                    aggregation);
-  for_each_generated_patch(
-      context, steps, rng,
-      [&](const geo::PatchWindow& window, const float* patch, std::size_t size) {
-        accumulator.add_patch(window, config_.patch, patch, size);
-      });
   accumulator.finish();
-}
-
-geo::CityTensor SpectraGan::generate_city_dense(const geo::ContextTensor& context, long steps,
-                                                Rng& rng,
-                                                geo::OverlapAggregation aggregation) const {
-  SG_PROFILE_SCOPE("core/generate_city_dense");
-  geo::OverlapAccumulator accumulator(steps, context.height(), context.width(), aggregation);
-  for_each_generated_patch(
-      context, steps, rng,
-      [&](const geo::PatchWindow& window, const float* patch, std::size_t size) {
-        accumulator.add_patch(window, config_.patch, patch, size);
-      });
-  geo::CityTensor city = accumulator.finalize();
-  city.clamp(0.0, std::numeric_limits<double>::infinity());
-  return city;
 }
 
 }  // namespace spectra::core

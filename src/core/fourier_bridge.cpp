@@ -6,7 +6,6 @@
 #include "dsp/fft.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -16,7 +15,6 @@ using nn::Tensor;
 using nn::Var;
 
 Var irfft_bridge(const Var& spectrum, long base_steps, long expand_k) {
-  SG_TRACE_SPAN("core/irfft_bridge");
   SG_PROFILE_SCOPE("core/irfft_bridge");
   static obs::Counter& calls = obs::Registry::instance().counter("fourier_bridge.calls");
   static obs::Histogram& seconds =
@@ -76,7 +74,6 @@ Var irfft_bridge(const Var& spectrum, long base_steps, long expand_k) {
       [B, two_f, f_gen, P, t_out, f_out, expand_k, k_scale](const Tensor& g,
                                                              std::vector<Var>& parents) {
         if (!parents[0].requires_grad()) return;
-        SG_TRACE_SPAN("core/irfft_bridge_backward");
         SG_PROFILE_SCOPE("core/irfft_bridge_backward");
         Tensor& gs = parents[0].grad_storage();
         // One lane-batched rfft per batch row; gradient writes touch only

@@ -8,7 +8,6 @@
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "obs/train_log.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -121,7 +120,6 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
                              const train::CheckpointOptions& ckpt) {
   SG_CHECK(sampler.train_steps() == config_.train_steps,
            "sampler window length must equal config.train_steps");
-  SG_TRACE_SPAN("train/run");
   SG_PROFILE_SCOPE("train/run");
   Stopwatch watch;
 
@@ -138,7 +136,6 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
   long start_it = 0;
   if (!ckpt.dir.empty()) {
     if (std::optional<train::TrainingSnapshot> snap = train::load_latest(ckpt.dir)) {
-      SG_TRACE_SPAN("checkpoint/restore");
       SG_PROFILE_SCOPE("checkpoint/restore");
       restore_params(snap->gen_params, generator_parameters(), "generator");
       restore_params(snap->disc_params, discriminator_parameters(), "discriminator");
@@ -174,7 +171,6 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
     // Masked-FFT target y^q for the spectrum branch (Eq. 1's L1 target).
     Var context, real_traffic, noise, masked_target;
     {
-      SG_TRACE_SPAN("train/sample");
       SG_PROFILE_SCOPE("train/sample");
       const data::PatchBatch batch = sampler.sample(config_.batch, rng);
       context = Var::constant(context_tensor(batch));
@@ -189,14 +185,12 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
     // Single generator forward reused by both optimization steps.
     GeneratorOutput fake;
     {
-      SG_TRACE_SPAN("train/g_forward");
       SG_PROFILE_SCOPE("train/g_forward");
       fake = generator_forward(context, noise, config_.train_steps, /*expand_k=*/1);
     }
 
     // --- discriminator step (fakes detached via value copies) ---
     {
-      SG_TRACE_SPAN("train/d_step");
       SG_PROFILE_SCOPE("train/d_step");
       Var hidden_r = encoder_r_->forward(context);
       Var d_loss;
@@ -214,7 +208,6 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
 
       opt_d.zero_grad();
       {
-        SG_TRACE_SPAN("train/backward");
         SG_PROFILE_SCOPE("train/backward");
         d_loss.backward();
       }
@@ -225,7 +218,6 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
 
     // --- generator step ---
     {
-      SG_TRACE_SPAN("train/g_step");
       SG_PROFILE_SCOPE("train/g_step");
       Var hidden_r = encoder_r_->forward(context);
       Var g_adv;
@@ -246,7 +238,6 @@ TrainStats SpectraGan::train(const data::PatchSampler& sampler, Rng& rng,
       // The backward pass also deposits gradients into discriminator
       // parameters; they are discarded at the next opt_d.zero_grad().
       {
-        SG_TRACE_SPAN("train/backward");
         SG_PROFILE_SCOPE("train/backward");
         g_loss.backward();
       }

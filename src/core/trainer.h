@@ -5,7 +5,6 @@
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -65,24 +64,17 @@ class SpectraGan {
   // generate_city_streamed with an in-memory CityTensorSink.
   geo::CityTensor generate_city(const geo::ContextTensor& context, long steps, Rng& rng) const;
 
-  // Streaming whole-city generation (DESIGN §6f): identical forwards and
-  // window-ordered accumulation to generate_city, but rows are finalized
-  // strip by strip through `sink` the moment their last covering window
-  // lands, so resident memory is O(traffic_h x steps x W) regardless of
-  // grid height. Emitted rows are clamped non-negative, in strictly
-  // increasing row order, t-major ([t * W + col]). Bitwise identical to
-  // the dense path for any thread count.
+  // Streaming whole-city generation (DESIGN §6f): validate, enumerate
+  // windows, draw the shared noise, run chunked generator forwards
+  // (groups of parallel_threads() chunks fan out on the pool), then sew
+  // every patch serially in window order. Rows are finalized strip by
+  // strip through `sink` the moment their last covering window lands, so
+  // resident memory is O(traffic_h x steps x W) regardless of grid
+  // height. Emitted rows are clamped non-negative, in strictly increasing
+  // row order, t-major ([t * W + col]). Bitwise identical for any thread
+  // count.
   void generate_city_streamed(
       const geo::ContextTensor& context, long steps, Rng& rng, geo::RowSink& sink,
-      geo::OverlapAggregation aggregation = geo::OverlapAggregation::kMean) const;
-
-  // The legacy full-canvas path, retained as the determinism oracle: sews
-  // the whole T x H x W city through a resident OverlapAccumulator.
-  // tests/parallel_test.cpp pins streamed ≡ dense bitwise for mean and
-  // median aggregation at 1 and 8 threads. Memory scales with city area —
-  // use only at grid sizes that fit in RAM.
-  geo::CityTensor generate_city_dense(
-      const geo::ContextTensor& context, long steps, Rng& rng,
       geo::OverlapAggregation aggregation = geo::OverlapAggregation::kMean) const;
 
   const SpectraGanConfig& config() const { return config_; }
@@ -103,17 +95,6 @@ class SpectraGan {
   };
   GeneratorOutput generator_forward(const nn::Var& context, const nn::Var& spatial_noise,
                                     long steps, long expand_k) const;
-
-  // Shared §2.2.4 machinery behind both city paths: validate, enumerate
-  // windows, draw the shared noise, run chunked generator forwards
-  // (groups of parallel_threads() chunks fan out on the pool), then call
-  // `consume(window, patch, size)` serially in enumerate_windows order —
-  // the consumer choice (dense canvas vs strip band) is the only
-  // difference between the paths, so their outputs cannot diverge.
-  void for_each_generated_patch(
-      const geo::ContextTensor& context, long steps, Rng& rng,
-      const std::function<void(const geo::PatchWindow&, const float*, std::size_t)>& consume)
-      const;
 
   nn::Tensor sample_noise(long batch, Rng& rng) const;
 

@@ -12,7 +12,6 @@
 #include "metrics/tstr.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "util/env.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -160,13 +159,11 @@ geo::CityTensor generate_for_fold(const std::string& model_name,
       baselines::make_model(model_name, base_config);
   SG_LOG_INFO << "training " << model_name << " for held-out " << target.name;
   {
-    SG_TRACE_SPAN("eval/fold_train");
     SG_PROFILE_SCOPE("eval/fold_train");
     model->fit(dataset, fold.train_indices, config.train_steps, rng);
   }
   geo::CityTensor synthetic;
   {
-    SG_TRACE_SPAN("eval/fold_generate");
     SG_PROFILE_SCOPE("eval/fold_generate");
     synthetic = model->generate(target, config.generate_steps, rng);
   }

@@ -1,4 +1,5 @@
-// Patch geometry (§2.2.1) and whole-city sewing (§2.2.4).
+// Patch geometry (§2.2.1) for whole-city sewing (§2.2.4; the sewer is
+// geo/strip_accumulator.h).
 //
 // The model never sees a whole city: it operates on traffic patches of
 // Ht x Wt pixels conditioned on larger context patches of Hc x Wc pixels
@@ -53,36 +54,11 @@ std::vector<float> extract_context_patch(const ContextTensor& context, const Pat
 std::vector<float> extract_traffic_patch(const CityTensor& traffic, const PatchWindow& window,
                                          const PatchSpec& spec);
 
-// How overlapping patch estimates are combined per pixel. The paper uses
-// the mean (Eq. 2) and flags "more sophisticated methods ... beyond the
-// average" as future work; the median is implemented as that extension —
-// it is robust to a single outlier patch at the cost of buffering all
-// contributions.
+// How overlapping patch estimates are combined per pixel (the sewing
+// itself is geo::StripAccumulator). The paper uses the mean (Eq. 2) and
+// flags "more sophisticated methods ... beyond the average" as future
+// work; the median is implemented as that extension — it is robust to a
+// single outlier patch at the cost of buffering all contributions.
 enum class OverlapAggregation { kMean, kMedian };
-
-// Accumulates generated patches and produces the combined per-pixel map.
-// One accumulator per generated city tensor.
-class OverlapAccumulator {
- public:
-  OverlapAccumulator(long steps, long height, long width,
-                     OverlapAggregation aggregation = OverlapAggregation::kMean);
-
-  // Add a generated [T, Ht, Wt] patch at `window`. The pointer overload
-  // reads `size` contiguous floats in place — batched generator outputs
-  // pass `traffic.data() + b * steps * pixels` directly, no scratch copy.
-  void add_patch(const PatchWindow& window, const PatchSpec& spec, const std::vector<float>& patch);
-  void add_patch(const PatchWindow& window, const PatchSpec& spec, const float* values,
-                 std::size_t size);
-
-  // Combined estimate; every pixel must have been covered.
-  CityTensor finalize() const;
-
- private:
-  OverlapAggregation aggregation_;
-  CityTensor sum_;
-  GridMap count_;  // patch multiplicity is time-invariant
-  // kMedian only: every contribution per (t, pixel), filled lazily.
-  std::vector<std::vector<double>> contributions_;
-};
 
 }  // namespace spectra::geo

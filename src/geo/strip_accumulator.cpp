@@ -4,8 +4,6 @@
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
-#include "util/env.h"
 #include "util/error.h"
 #include "util/log.h"
 
@@ -36,14 +34,12 @@ CityTensor CityTensorSink::take() {
 
 // --- SpillRowSink -----------------------------------------------------------
 
-SpillRowSink::SpillRowSink(const std::string& path, long steps, long width, long batch_rows)
-    : path_(path), row_values_(steps * width), batch_rows_(batch_rows) {
+SpillRowSink::SpillRowSink(const std::string& path, long steps, long width)
+    : path_(path), row_values_(steps * width) {
   SG_CHECK(steps > 0 && width > 0, "SpillRowSink needs a positive row shape");
-  if (batch_rows_ <= 0) batch_rows_ = env_long("SPECTRA_STRIP_ROWS", 8);
-  if (batch_rows_ <= 0) batch_rows_ = 1;
   file_ = std::fopen(path_.c_str(), "wb");
   SG_CHECK(file_ != nullptr, "SpillRowSink cannot open spill file " + path_);
-  buffer_.reserve(static_cast<std::size_t>(batch_rows_ * row_values_));
+  buffer_.reserve(static_cast<std::size_t>(kBatchRows * row_values_));
 }
 
 namespace {
@@ -74,7 +70,7 @@ void SpillRowSink::consume_row(long row, const std::vector<double>& values) {
   SG_CHECK(static_cast<long>(values.size()) == row_values_, "SpillRowSink row size mismatch");
   buffer_.insert(buffer_.end(), values.begin(), values.end());
   spilled.inc();
-  if (static_cast<long>(buffer_.size()) >= batch_rows_ * row_values_) flush();
+  if (static_cast<long>(buffer_.size()) >= kBatchRows * row_values_) flush();
 }
 
 void SpillRowSink::flush() {
@@ -215,7 +211,6 @@ void StripAccumulator::add_patch(const PatchWindow& window, const PatchSpec& spe
 
 void StripAccumulator::finalize_rows_below(long row) {
   if (band_start_ >= row) return;
-  SG_TRACE_SPAN("geo/strip_finalize");
   SG_PROFILE_SCOPE("geo/strip_finalize");
   static obs::Counter& strips = obs::Registry::instance().counter("geo.strips_finalized");
   static obs::MaxGauge& peak =
@@ -233,10 +228,9 @@ void StripAccumulator::finalize_rows_below(long row) {
   }
 }
 
-// Same reduction as OverlapAccumulator::finalize, one row at a time: the
-// mean divides the window-ordered sum once, the median runs the single
-// nth_element partition pass (upper median; for even counts the lower
-// median is the max of the left partition) — bitwise identical outputs.
+// One row at a time: the mean divides the window-ordered sum once, the
+// median runs a single nth_element partition pass (upper median; for
+// even counts the lower median is the max of the left partition).
 void StripAccumulator::emit_row(long row, RowBuf& buf) {
   emit_buf_.resize(static_cast<std::size_t>(steps_ * width_));
   for (long j = 0; j < width_; ++j) {

@@ -1,16 +1,13 @@
-// Out-of-core city sewing (§2.2.4 at megacity scale): a bounded-memory
-// replacement for OverlapAccumulator.
+// City sewing (§2.2.4, Eq. 2) in bounded memory: the one sewer behind
+// every generated city.
 //
-// OverlapAccumulator materializes the full T x H x W canvas (plus
-// per-pixel contribution lists on the median path), so whole-city
-// generation memory scales with city area and horizon. StripAccumulator
-// exploits the sliding-window order instead: windows arrive sorted by
-// origin row (the enumerate_windows order), so once the origin row
-// advances past row r, no later window can touch r. Only the active band
-// of rows — the current window strip plus the `traffic_h - stride`
-// overlap rows still receiving contributions — is resident; finalized
-// rows are divided (or median-reduced) immediately and handed to a
-// RowSink, after which their buffers are recycled for the next strip.
+// Sliding windows arrive sorted by origin row (the enumerate_windows
+// order), so once the origin row advances past row r, no later window
+// can touch r. Only the active band of rows — the current window strip
+// plus the `traffic_h - stride` overlap rows still receiving
+// contributions — is resident; finalized rows are divided (or
+// median-reduced) immediately and handed to a RowSink, after which their
+// buffers are recycled for the next strip.
 //
 // Resident footprint is O(traffic_h x T x W) regardless of H, which is
 // what lets `bench_megacity` sew a 1024x1024 grid in a flat band of a
@@ -68,14 +65,14 @@ class CityTensorSink : public RowSink {
 
 // Spill-to-disk writer for grids that must never be resident: rows are
 // appended to `path` as raw native-endian doubles in (row, t, col) order,
-// buffered SPECTRA_STRIP_ROWS rows (default 8) per batched fwrite so
-// megacity runs do not pay one syscall per row. Instrumented via
-// `geo.rows_spilled`.
+// buffered kBatchRows rows per batched fwrite so megacity runs do not pay
+// one syscall per row. Instrumented via `geo.rows_spilled`.
 class SpillRowSink : public RowSink {
  public:
-  // `steps`/`width` fix the row record size; rows buffered per flush
-  // come from SPECTRA_STRIP_ROWS when `batch_rows` is 0.
-  SpillRowSink(const std::string& path, long steps, long width, long batch_rows = 0);
+  static constexpr long kBatchRows = 8;
+
+  // `steps`/`width` fix the row record size.
+  SpillRowSink(const std::string& path, long steps, long width);
   ~SpillRowSink() override;
 
   SpillRowSink(const SpillRowSink&) = delete;
@@ -102,7 +99,6 @@ class SpillRowSink : public RowSink {
   std::string path_;
   std::FILE* file_ = nullptr;
   long row_values_ = 0;  // doubles per row record (steps * width)
-  long batch_rows_ = 0;
   long rows_written_ = 0;
   long long bytes_written_ = 0;
   std::vector<double> buffer_;
@@ -115,11 +111,9 @@ void read_spilled_row(const std::string& path, long steps, long width, long row,
 
 // Bounded-memory overlap accumulator. Patches must be added in
 // enumerate_windows order (non-decreasing origin row; any column order
-// within a strip). Produces bitwise-identical rows to
-// OverlapAccumulator::finalize() for both aggregation modes — the per
-// pixel sums accumulate in the same window order and the same
-// division/median reduction runs on the same operands
-// (tests/geo_test.cpp pins this down).
+// within a strip). Each pixel's sum accumulates in window order and is
+// divided (or median-reduced) once; tests/geo_test.cpp holds the rows
+// bit for bit to the dense reference sewer in tests/reference/.
 class StripAccumulator {
  public:
   StripAccumulator(long steps, long height, long width, RowSink& sink,

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/trace.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -31,11 +32,18 @@ struct ProfileNode {
   double bytes = 0.0;
 };
 
+std::int64_t steady_now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace detail
 
 namespace {
 
 using detail::ProfileNode;
+using detail::steady_now_ns;
 
 // Per-thread tree. Mutations come only from the owning thread; the mutex
 // exists so report/reset can read from other threads. Uncontended in the
@@ -47,21 +55,13 @@ struct ThreadTree {
   ProfileNode* current SG_GUARDED_BY(mutex) = &root;
 };
 
-// Steady-clock now as nanoseconds since the clock's epoch.
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 struct ProfileState {
   Mutex mutex SG_ACQUIRED_AFTER(lock_order::obs)
       SG_ACQUIRED_BEFORE(lock_order::fft_cache);
   std::vector<ThreadTree*> trees SG_GUARDED_BY(mutex);  // leaked; one per thread ever seen
-  // Time origin in steady-clock nanoseconds. Atomic, not guarded:
-  // profile_reset rewrites it while every scope exit on every thread
-  // reads it through profile_now_ns, and the hot path must stay
-  // lock-free.
+  // Wall-clock origin of the report in steady-clock nanoseconds.
+  // Atomic, not guarded: profile_reset rewrites it while a report on
+  // another thread may read it.
   std::atomic<std::int64_t> origin_ns{steady_now_ns()};
 };
 
@@ -201,18 +201,9 @@ double wall_seconds() {
   return static_cast<double>(elapsed_ns) * 1e-9;
 }
 
-}  // namespace
-
-namespace detail {
-
-std::atomic<bool> g_profile_enabled{false};
-
-std::uint64_t profile_now_ns() {
-  return static_cast<std::uint64_t>(
-      steady_now_ns() - state().origin_ns.load(std::memory_order_relaxed));
-}
-
-ProfileNode* profile_enter(const char* name) {
+// Descend into (find-or-create) the named child of the calling thread's
+// current node and make it current.
+ProfileNode* enter_node(const char* name) {
   ThreadTree& tree = thread_tree();
   MutexLock lock(tree.mutex);
   ProfileNode* parent = tree.current;
@@ -232,14 +223,29 @@ ProfileNode* profile_enter(const char* name) {
   return node;
 }
 
-void profile_exit(ProfileNode* node, std::uint64_t start_ns) {
+// Record one call of `elapsed_ns` into `node` and pop back to its parent.
+void exit_node(ProfileNode* node, std::int64_t elapsed_ns) {
   ThreadTree& tree = thread_tree();
   MutexLock lock(tree.mutex);
   node->calls += 1;
-  node->incl_ns += profile_now_ns() - start_ns;
+  node->incl_ns += static_cast<std::uint64_t>(elapsed_ns);
   // Pop to the scope's own parent (not current->parent) so an exit after
   // profile_reset or mismatched nesting cannot walk off the tree.
   tree.current = node->parent != nullptr ? node->parent : &tree.root;
+}
+
+}  // namespace
+
+namespace detail {
+
+std::atomic<unsigned> g_probes{0};
+
+void set_probe(unsigned bit, bool enabled) {
+  if (enabled) {
+    g_probes.fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    g_probes.fetch_and(~bit, std::memory_order_relaxed);
+  }
 }
 
 void profile_env_autostart() {
@@ -250,7 +256,7 @@ void profile_env_autostart() {
   // `1`/`true` only enable; anything else is additionally the JSON dump
   // path (profile_dump reads the knob again at exit).
   if (std::getenv("SPECTRA_PROFILE") != nullptr) {
-    g_profile_enabled.store(true, std::memory_order_relaxed);
+    set_probe(kProfileBit, true);
     std::atexit([] {
       std::fputs(profile_report_text().c_str(), stderr);
       profile_dump();
@@ -260,8 +266,19 @@ void profile_env_autostart() {
 
 }  // namespace detail
 
-void profile_set_enabled(bool enabled) {
-  detail::g_profile_enabled.store(enabled, std::memory_order_relaxed);
+void profile_set_enabled(bool enabled) { detail::set_probe(detail::kProfileBit, enabled); }
+
+void ProfileScope::open(const char* name, unsigned probes) {
+  name_ = name;
+  trace_ = (probes & detail::kTraceBit) != 0;
+  if ((probes & detail::kProfileBit) != 0) node_ = enter_node(name);
+  start_ns_ = steady_now_ns();
+}
+
+void ProfileScope::close() {
+  const std::int64_t end_ns = steady_now_ns();
+  if (node_ != nullptr) exit_node(node_, end_ns - start_ns_);
+  if (trace_) detail::trace_record(name_, start_ns_, end_ns);
 }
 
 void profile_add_work(double flops, double bytes) {

@@ -1,13 +1,18 @@
-// Hierarchical wall-clock profiler: nestable RAII scopes aggregate into a
-// per-thread parent→child timing tree (call counts, inclusive nanoseconds,
-// and attributed flop/byte work), merged across threads at report time.
+// The one probe: nestable RAII scopes that feed both the hierarchical
+// wall-clock profiler and the Chrome trace (obs/trace.h). The profiler
+// aggregates scopes into a per-thread parent→child timing tree (call
+// counts, inclusive nanoseconds, and attributed flop/byte work), merged
+// across threads at report time; the trace records each scope as one
+// complete event under the same name.
 //
-// Profiling is off by default. Setting SPECTRA_PROFILE enables it at
-// startup and registers an atexit report: the text tree always goes to
-// stderr; when the value is a path (anything other than `1`/`true`) the
-// JSON tree is also written there. Tests toggle it with
-// profile_set_enabled(). When disabled, SG_PROFILE_SCOPE costs one
-// relaxed atomic load and a branch — the same contract as SG_TRACE_SPAN.
+// Both outputs are off by default and share one enable word. Setting
+// SPECTRA_PROFILE enables the profiler at startup and registers an
+// atexit report: the text tree always goes to stderr; when the value is
+// a path (anything other than `1`/`true`) the JSON tree is also written
+// there. SPECTRA_TRACE enables the trace. Tests toggle them with
+// profile_set_enabled() / trace_set_enabled(). With both off,
+// SG_PROFILE_SCOPE costs one relaxed atomic load and a branch; with
+// either on, one clock read at entry and one at exit serve both.
 //
 //   void d_step() {
 //     SG_PROFILE_SCOPE("train/d_step");
@@ -29,20 +34,19 @@
 namespace spectra::obs {
 
 namespace detail {
-extern std::atomic<bool> g_profile_enabled;
+// The enable word: bit kProfileBit drives the profile tree, bit
+// kTraceBit the trace. One word so a scope with both off stays one load.
+inline constexpr unsigned kProfileBit = 1;
+inline constexpr unsigned kTraceBit = 2;
+extern std::atomic<unsigned> g_probes;
+
+// Turn one output's bit on or off.
+void set_probe(unsigned bit, bool enabled);
 
 struct ProfileNode;
 
-// Nanoseconds since the process profile origin (monotonic clock).
-std::uint64_t profile_now_ns();
-
-// Descend into (find-or-create) the named child of the calling thread's
-// current node and make it current. Returns the entered node.
-ProfileNode* profile_enter(const char* name);
-
-// Record one call of `start_ns`..now into `node` and pop back to its
-// parent.
-void profile_exit(ProfileNode* node, std::uint64_t start_ns);
+// Steady-clock nanoseconds: the one clock both probe outputs read.
+std::int64_t steady_now_ns();
 
 // Idempotent SPECTRA_PROFILE autostart hook, invoked from
 // Registry::instance() so the static-archive linker cannot drop it.
@@ -50,7 +54,7 @@ void profile_env_autostart();
 }  // namespace detail
 
 inline bool profile_enabled() {
-  return detail::g_profile_enabled.load(std::memory_order_relaxed);
+  return (detail::g_probes.load(std::memory_order_relaxed) & detail::kProfileBit) != 0;
 }
 
 // Runtime toggle (SPECTRA_PROFILE flips it on during static init).
@@ -80,26 +84,31 @@ void profile_dump(const std::string& path = "");
 // safe while no scopes are open. Tests only.
 void profile_reset();
 
-// Scoped profile node: enters the named child at construction, records
-// one call at destruction. `name` must be a string literal (node
-// identity is the pointer first, contents second).
+// The probe: at construction it enters the named child of the thread's
+// profile tree (profiling on) and notes the start time; at destruction
+// it records one call there and one trace event (tracing on). The
+// enable bits are read once, at construction. `name` must be a string
+// literal (node identity is the pointer first, contents second).
 class ProfileScope {
  public:
   explicit ProfileScope(const char* name) {
-    if (profile_enabled()) {
-      node_ = detail::profile_enter(name);
-      start_ns_ = detail::profile_now_ns();
-    }
+    const unsigned probes = detail::g_probes.load(std::memory_order_relaxed);
+    if (probes != 0) open(name, probes);
   }
   ~ProfileScope() {
-    if (node_ != nullptr) detail::profile_exit(node_, start_ns_);
+    if (name_ != nullptr) close();
   }
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
  private:
-  detail::ProfileNode* node_ = nullptr;  // nullptr while profiling is disabled
-  std::uint64_t start_ns_ = 0;
+  void open(const char* name, unsigned probes);
+  void close();
+
+  const char* name_ = nullptr;           // nullptr while both probes are off
+  detail::ProfileNode* node_ = nullptr;  // nullptr unless profiling
+  bool trace_ = false;
+  std::int64_t start_ns_ = 0;
 };
 
 }  // namespace spectra::obs

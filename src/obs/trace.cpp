@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -48,8 +48,10 @@ struct TraceState {
       SG_ACQUIRED_BEFORE(lock_order::fft_cache);
   std::vector<ThreadBuffer*> buffers SG_GUARDED_BY(mutex);  // leaked; one per thread
   std::uint32_t next_tid SG_GUARDED_BY(mutex) = 1;
-  // Set at construction, never reset — reads need no lock.
-  std::chrono::steady_clock::time_point origin = std::chrono::steady_clock::now();
+  // Trace time origin (detail::steady_now_ns). Set at construction,
+  // never reset — reads need no lock. trace_set_enabled constructs the
+  // state before it sets the bit, so every recorded scope starts later.
+  const std::int64_t origin_ns = detail::steady_now_ns();
   std::atomic<bool> streaming{false};   // fast check before the pending math
   std::atomic<std::uint64_t> pending{0};  // events buffered since last drain
   StreamState stream;
@@ -83,8 +85,8 @@ std::string json_escape(const char* s) {
   return out;
 }
 
-// Primary autostart: runs at static init in any binary that records
-// spans (they reference this TU). The Registry::instance() hook is the
+// Primary autostart: runs at static init in any binary that opens
+// scopes (they reference this TU). The Registry::instance() hook is the
 // backstop; the once-guard makes the pair idempotent.
 const bool g_trace_env_init = [] {
   detail::trace_env_autostart();
@@ -130,21 +132,17 @@ void drain_locked(TraceState& s) SG_REQUIRES(s.stream.mutex) {
 
 namespace detail {
 
-std::atomic<bool> g_trace_enabled{false};
-
-std::uint64_t trace_now_us() {
-  const auto elapsed = std::chrono::steady_clock::now() - state().origin;
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
-}
-
-void trace_record(const char* name, std::uint64_t start_us, std::uint64_t dur_us) {
+void trace_record(const char* name, std::int64_t start_ns, std::int64_t end_ns) {
+  TraceState& s = state();
+  // Both ends truncate to whole microseconds from the origin, so a
+  // nested scope's event never ends after its parent's.
+  const auto ts_us = static_cast<std::uint64_t>((start_ns - s.origin_ns) / 1000);
+  const auto end_us = static_cast<std::uint64_t>((end_ns - s.origin_ns) / 1000);
   ThreadBuffer& buffer = thread_buffer();
   {
     MutexLock lock(buffer.mutex);
-    buffer.events.push_back({name, start_us, dur_us});
+    buffer.events.push_back({name, ts_us, end_us - ts_us});
   }
-  TraceState& s = state();
   if (!s.streaming.load(std::memory_order_relaxed)) return;
   const std::uint64_t pending = s.pending.fetch_add(1, std::memory_order_relaxed) + 1;
   if (pending < kStreamFlushEvents) return;
@@ -163,7 +161,7 @@ void trace_env_autostart() {
   done = true;
   const char* env = std::getenv("SPECTRA_TRACE");
   if (env == nullptr || env[0] == '\0') return;
-  g_trace_enabled.store(true, std::memory_order_relaxed);
+  trace_set_enabled(true);
   trace_stream_open(env);
   std::atexit([] { trace_stream_close(); });
 }
@@ -171,7 +169,8 @@ void trace_env_autostart() {
 }  // namespace detail
 
 void trace_set_enabled(bool enabled) {
-  detail::g_trace_enabled.store(enabled, std::memory_order_relaxed);
+  if (enabled) state();  // fixes the origin before any scope can see the bit
+  detail::set_probe(detail::kTraceBit, enabled);
 }
 
 std::string trace_json() {

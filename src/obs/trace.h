@@ -1,8 +1,10 @@
-// RAII trace spans exported as Chrome trace-event JSON ("X" complete
-// events), viewable in chrome://tracing or https://ui.perfetto.dev.
+// Chrome trace-event JSON export ("X" complete events), viewable in
+// chrome://tracing or https://ui.perfetto.dev. The events come from the
+// one probe, SG_PROFILE_SCOPE (obs/profile.h): while tracing is on,
+// every scope records one event under its own name.
 //
 // Tracing is off by default. Setting SPECTRA_TRACE=<file> enables it at
-// startup and *streams* events to that file: buffered spans are drained
+// startup and *streams* events to that file: buffered events are drained
 // to disk every kStreamFlushEvents records (bounding memory) as a bare
 // JSON event array — a format the trace viewers accept even without the
 // closing bracket, so a SIGKILL'd run keeps everything flushed so far.
@@ -10,43 +12,30 @@
 // leftover partial file is finalized and renamed <file>.recovered before
 // the new stream opens. Tests toggle recording with trace_set_enabled()
 // and use trace_json()/trace_flush(path), which keep their in-memory
-// whole-document semantics. When disabled, SG_TRACE_SPAN costs one
-// relaxed atomic load and a branch.
-//
-//   void step() {
-//     SG_TRACE_SPAN("train/d_step");
-//     ...
-//   }
+// whole-document semantics.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 namespace spectra::obs {
 
 namespace detail {
-extern std::atomic<bool> g_trace_enabled;
-
-// Microseconds since the process trace origin (monotonic clock).
-std::uint64_t trace_now_us();
-
-// Append one complete span to the calling thread's buffer.
-void trace_record(const char* name, std::uint64_t start_us, std::uint64_t dur_us);
+// Append one complete event to the calling thread's buffer. The times
+// are steady_now_ns() readings taken at the scope's entry and exit; the
+// event's `ts` counts microseconds from the trace origin, which is fixed
+// before tracing can first be switched on.
+void trace_record(const char* name, std::int64_t start_ns, std::int64_t end_ns);
 
 // Idempotent SPECTRA_TRACE autostart hook, invoked from
 // Registry::instance() so the static-archive linker cannot drop it.
 void trace_env_autostart();
 }  // namespace detail
 
-// Buffered spans accumulated before a streaming drain kicks in. Bounds
+// Buffered events accumulated before a streaming drain kicks in. Bounds
 // trace memory to roughly this many events per flush interval.
 inline constexpr std::uint64_t kStreamFlushEvents = 4096;
-
-inline bool trace_enabled() {
-  return detail::g_trace_enabled.load(std::memory_order_relaxed);
-}
 
 // Runtime toggle (SPECTRA_TRACE flips it on during static init).
 void trace_set_enabled(bool enabled);
@@ -83,42 +72,4 @@ void trace_stream_close();
 // file was recovered, false when `path` is absent or already complete.
 bool trace_recover_partial(const std::string& path);
 
-// Scoped span: captures the start time at construction and records a
-// complete event at destruction. Spans nest naturally per thread.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) {
-    if (trace_enabled()) {
-      name_ = name;
-      start_us_ = detail::trace_now_us();
-    }
-  }
-  ~TraceSpan() {
-    if (name_ != nullptr) {
-      detail::trace_record(name_, start_us_, detail::trace_now_us() - start_us_);
-    }
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* name_ = nullptr;  // nullptr while tracing is disabled
-  std::uint64_t start_us_ = 0;
-};
-
 }  // namespace spectra::obs
-
-#define SG_TRACE_CONCAT_INNER(a, b) a##b
-#define SG_TRACE_CONCAT(a, b) SG_TRACE_CONCAT_INNER(a, b)
-
-// `name` must be a string literal (or otherwise outlive the span).
-// -DSPECTRA_STRIP_PROBES compiles the span away entirely (see
-// SG_PROFILE_SCOPE) for the CI obs-overhead baseline build.
-#if defined(SPECTRA_STRIP_PROBES)
-#define SG_TRACE_SPAN(name) \
-  do {                      \
-  } while (false)
-#else
-#define SG_TRACE_SPAN(name) \
-  ::spectra::obs::TraceSpan SG_TRACE_CONCAT(sg_trace_span_, __COUNTER__)(name)
-#endif

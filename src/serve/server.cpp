@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "util/env.h"
 #include "util/log.h"
 #include "util/stopwatch.h"
@@ -232,7 +231,6 @@ void Server::worker_loop() {
 }
 
 void Server::process(Queued item) {
-  SG_TRACE_SPAN("serve/request");
   SG_PROFILE_SCOPE("serve/request");
   item.shared->set_terminal(RequestState::kRunning);  // not terminal; reuses the setter
   Stopwatch watch;

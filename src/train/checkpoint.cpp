@@ -12,7 +12,7 @@
 #endif
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/profile.h"
 #include "util/env.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -233,7 +233,7 @@ std::string write_checkpoint(const std::string& dir, const TrainingSnapshot& sna
                              int keep_last) {
   SG_CHECK(!dir.empty(), "checkpoint dir must not be empty");
   SG_CHECK(keep_last >= 1, "checkpoint retention must keep at least one snapshot");
-  SG_TRACE_SPAN("checkpoint/write");
+  SG_PROFILE_SCOPE("checkpoint/write");
   static obs::Counter& writes = obs::Registry::instance().counter("checkpoint.writes");
   static obs::Histogram& write_hist =
       obs::Registry::instance().histogram("checkpoint.write_seconds");
@@ -294,7 +294,7 @@ std::string write_checkpoint(const std::string& dir, const TrainingSnapshot& sna
 }
 
 TrainingSnapshot read_checkpoint(const std::string& path) {
-  SG_TRACE_SPAN("checkpoint/read");
+  SG_PROFILE_SCOPE("checkpoint/read");
   std::ifstream in(path, std::ios::binary);
   SG_CHECK(static_cast<bool>(in), "cannot open " + path + " for reading");
   std::string contents((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -23,6 +24,7 @@
 #include "data/sampler.h"
 #include "dsp/fft.h"
 #include "nn/init.h"
+#include "obs/trace.h"
 #include "reference/fourier_reference.h"
 #include "util/error.h"
 
@@ -400,6 +402,29 @@ TEST(SpectraGanTest, SaveLoadReproducesGeneration) {
   const geo::CityTensor out_b = b.generate_city(context, config.train_steps, rng_b);
   for (long i = 0; i < out_a.size(); ++i) {
     EXPECT_NEAR(out_a[i], out_b[i], 1e-6);
+  }
+}
+
+// Every profiled layer of a city generation reaches the trace: the one
+// probe records a trace event wherever it times a profile node.
+TEST(SpectraGanTest, TracedGenerationCarriesEveryLayer) {
+  if (std::getenv("SPECTRA_TRACE") != nullptr) {
+    GTEST_SKIP() << "global trace stream owned by SPECTRA_TRACE";
+  }
+  const SpectraGanConfig config = tiny_config();
+  SpectraGan model(config, 18);
+  geo::ContextTensor context(config.context_channels, 8, 8);
+  Rng rng(19);
+  obs::trace_reset();
+  obs::trace_set_enabled(true);
+  model.generate_city(context, config.train_steps, rng);
+  obs::trace_set_enabled(false);
+  const std::string events = obs::trace_json();
+  obs::trace_reset();
+  for (const char* name : {"nn/gemm", "nn/lstm_step", "dsp/fft", "core/irfft_bridge",
+                           "core/generate_city_streamed"}) {
+    EXPECT_NE(events.find("\"name\":\"" + std::string(name) + "\""), std::string::npos)
+        << name;
   }
 }
 

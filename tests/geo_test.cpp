@@ -3,12 +3,15 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "geo/city_tensor.h"
 #include "geo/grid.h"
 #include "geo/patching.h"
 #include "geo/strip_accumulator.h"
 #include "obs/metrics.h"
+#include "reference/sewing_reference.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -226,100 +229,95 @@ TEST(PatchExtractionTest, TrafficPatchValues) {
   EXPECT_THROW(extract_traffic_patch(traffic, {4, 0}, spec), spectra::Error);
 }
 
-TEST(OverlapAccumulatorTest, AveragesOverlappingPatches) {
+// Sews (window, patch) pairs, in order, through a StripAccumulator into
+// a CityTensorSink: the production sewing path.
+CityTensor sew(long steps, long height, long width, const PatchSpec& spec,
+               const std::vector<std::pair<PatchWindow, std::vector<float>>>& patches,
+               OverlapAggregation aggregation = OverlapAggregation::kMean) {
+  CityTensorSink sink(steps, height, width);
+  StripAccumulator strip(steps, height, width, sink, aggregation);
+  for (const auto& [window, patch] : patches) strip.add_patch(window, spec, patch);
+  strip.finish();
+  return sink.take();
+}
+
+// A 2x2 traffic patch with stride 1 (context = traffic, no halo).
+PatchSpec small_spec() {
+  PatchSpec spec;
+  spec.traffic_h = 2;
+  spec.traffic_w = 2;
+  spec.context_h = 2;
+  spec.context_w = 2;
+  spec.stride = 1;
+  return spec;
+}
+
+TEST(SewingTest, AveragesOverlappingPatches) {
   PatchSpec spec;
   spec.stride = 2;
-  OverlapAccumulator acc(1, 6, 6);
-  const std::vector<PatchWindow> windows = enumerate_windows(6, 6, spec);
   // Every patch contributes the constant 2.0: the average must be 2.0
   // everywhere regardless of multiplicity (Eq. 2 sanity).
   const std::vector<float> patch(static_cast<std::size_t>(1 * 4 * 4), 2.0f);
-  for (const PatchWindow& w : windows) acc.add_patch(w, spec, patch);
-  const CityTensor out = acc.finalize();
+  std::vector<std::pair<PatchWindow, std::vector<float>>> patches;
+  for (const PatchWindow& w : enumerate_windows(6, 6, spec)) patches.emplace_back(w, patch);
+  const CityTensor out = sew(1, 6, 6, spec, patches);
   for (long i = 0; i < 6; ++i) {
     for (long j = 0; j < 6; ++j) EXPECT_NEAR(out.at(0, i, j), 2.0, 1e-9);
   }
 }
 
-TEST(OverlapAccumulatorTest, DistinctValuesAverage) {
-  PatchSpec spec;
-  spec.traffic_h = 2;
-  spec.traffic_w = 2;
-  spec.context_h = 2;
-  spec.context_w = 2;
-  spec.stride = 1;
-  OverlapAccumulator acc(1, 2, 3);
+TEST(SewingTest, DistinctValuesAverage) {
   // Two overlapping 2x2 patches over a 2x3 map: columns 1 get both.
-  std::vector<float> ones(4, 1.0f);
-  std::vector<float> threes(4, 3.0f);
-  acc.add_patch({0, 0}, spec, ones);
-  acc.add_patch({0, 1}, spec, threes);
-  const CityTensor out = acc.finalize();
+  const CityTensor out = sew(1, 2, 3, small_spec(),
+                             {{{0, 0}, std::vector<float>(4, 1.0f)},
+                              {{0, 1}, std::vector<float>(4, 3.0f)}});
   EXPECT_NEAR(out.at(0, 0, 0), 1.0, 1e-9);
   EXPECT_NEAR(out.at(0, 0, 1), 2.0, 1e-9);  // (1+3)/2
   EXPECT_NEAR(out.at(0, 0, 2), 3.0, 1e-9);
 }
 
-TEST(OverlapAccumulatorTest, MedianAggregationRobustToOutlierPatch) {
+TEST(SewingTest, MedianAggregationRobustToOutlierPatch) {
   // Paper §2.2.4 leaves beyond-average aggregation as future work; the
   // median extension must ignore a single corrupted patch.
-  PatchSpec spec;
-  spec.traffic_h = 2;
-  spec.traffic_w = 2;
-  spec.context_h = 2;
-  spec.context_w = 2;
-  spec.stride = 1;
-  OverlapAccumulator mean_acc(1, 2, 2, OverlapAggregation::kMean);
-  OverlapAccumulator median_acc(1, 2, 2, OverlapAggregation::kMedian);
   const std::vector<float> good(4, 1.0f);
   const std::vector<float> outlier(4, 100.0f);
-  for (auto* acc : {&mean_acc, &median_acc}) {
-    acc->add_patch({0, 0}, spec, good);
-    acc->add_patch({0, 0}, spec, good);
-    acc->add_patch({0, 0}, spec, outlier);
-  }
-  EXPECT_NEAR(mean_acc.finalize().at(0, 0, 0), 34.0, 1e-9);
-  EXPECT_NEAR(median_acc.finalize().at(0, 0, 0), 1.0, 1e-9);
+  const std::vector<std::pair<PatchWindow, std::vector<float>>> patches = {
+      {{0, 0}, good}, {{0, 0}, good}, {{0, 0}, outlier}};
+  EXPECT_NEAR(sew(1, 2, 2, small_spec(), patches, OverlapAggregation::kMean).at(0, 0, 0), 34.0,
+              1e-9);
+  EXPECT_NEAR(sew(1, 2, 2, small_spec(), patches, OverlapAggregation::kMedian).at(0, 0, 0), 1.0,
+              1e-9);
 }
 
-TEST(OverlapAccumulatorTest, MedianOfEvenCountAveragesCentralPair) {
-  PatchSpec spec;
-  spec.traffic_h = 2;
-  spec.traffic_w = 2;
-  spec.context_h = 2;
-  spec.context_w = 2;
-  spec.stride = 1;
-  OverlapAccumulator acc(1, 2, 2, OverlapAggregation::kMedian);
-  acc.add_patch({0, 0}, spec, std::vector<float>(4, 1.0f));
-  acc.add_patch({0, 0}, spec, std::vector<float>(4, 3.0f));
-  EXPECT_NEAR(acc.finalize().at(0, 0, 0), 2.0, 1e-9);
+TEST(SewingTest, MedianOfEvenCountAveragesCentralPair) {
+  const CityTensor out = sew(1, 2, 2, small_spec(),
+                             {{{0, 0}, std::vector<float>(4, 1.0f)},
+                              {{0, 0}, std::vector<float>(4, 3.0f)}},
+                             OverlapAggregation::kMedian);
+  EXPECT_NEAR(out.at(0, 0, 0), 2.0, 1e-9);
 }
 
-TEST(OverlapAccumulatorTest, MedianMatchesMeanWhenPatchesAgree) {
+TEST(SewingTest, MedianMatchesMeanWhenPatchesAgree) {
   PatchSpec spec;
   spec.stride = 2;
-  OverlapAccumulator mean_acc(1, 8, 8, OverlapAggregation::kMean);
-  OverlapAccumulator median_acc(1, 8, 8, OverlapAggregation::kMedian);
-  const std::vector<float> patch(16, 0.7f);
+  std::vector<std::pair<PatchWindow, std::vector<float>>> patches;
   for (const PatchWindow& w : enumerate_windows(8, 8, spec)) {
-    mean_acc.add_patch(w, spec, patch);
-    median_acc.add_patch(w, spec, patch);
+    patches.emplace_back(w, std::vector<float>(16, 0.7f));
   }
-  const CityTensor a = mean_acc.finalize();
-  const CityTensor b = median_acc.finalize();
+  const CityTensor a = sew(1, 8, 8, spec, patches, OverlapAggregation::kMean);
+  const CityTensor b = sew(1, 8, 8, spec, patches, OverlapAggregation::kMedian);
   for (long p = 0; p < 64; ++p) EXPECT_NEAR(a[p], b[p], 1e-6);
 }
 
-TEST(OverlapAccumulatorTest, UncoveredPixelRejected) {
+TEST(SewingTest, UncoveredPixelRejected) {
   PatchSpec spec;
-  OverlapAccumulator acc(1, 8, 8);
-  acc.add_patch({0, 0}, spec, std::vector<float>(16, 1.0f));
-  EXPECT_THROW(acc.finalize(), spectra::Error);
+  // Columns 4..7 are never covered.
+  EXPECT_THROW(sew(1, 8, 8, spec, {{{0, 0}, std::vector<float>(16, 1.0f)}}), spectra::Error);
 }
 
 // ---------------------------------------------------------------------------
 // StripAccumulator: bounded-memory sewing must be bitwise identical to the
-// dense OverlapAccumulator (DESIGN §6f).
+// dense reference sewer (tests/reference/sewing_reference.h, DESIGN §6f).
 
 // Captures every emitted row for inspection.
 class RecordingSink : public RowSink {
@@ -352,7 +350,7 @@ void expect_strip_equals_dense(long steps, long height, long width, long stride,
     patches.push_back(std::move(patch));
   }
 
-  OverlapAccumulator dense(steps, height, width, aggregation);
+  reference::OverlapAccumulator dense(steps, height, width, aggregation);
   CityTensorSink sink(steps, height, width);
   StripAccumulator strip(steps, height, width, sink, aggregation);
   for (std::size_t w = 0; w < windows.size(); ++w) {
@@ -420,19 +418,12 @@ TEST(StripAccumulatorTest, RejectsOutOfOrderAndLatePatches) {
   EXPECT_THROW(strip.add_patch({4, 4}, spec, patch), spectra::Error);
 }
 
-TEST(StripAccumulatorTest, UncoveredPixelRejected) {
-  PatchSpec spec;
-  CityTensorSink sink(1, 8, 8);
-  StripAccumulator strip(1, 8, 8, sink);
-  strip.add_patch({0, 0}, spec, std::vector<float>(16, 1.0f));
-  EXPECT_THROW(strip.finish(), spectra::Error);  // columns 4..7 never covered
-}
-
 TEST(SpillRowSinkTest, RoundTripsRowsThroughDisk) {
-  const long steps = 3, width = 5, rows = 7;
+  // 17 rows: two full batch flushes mid-run, and a one-row tail at close.
+  const long steps = 3, width = 5, rows = 2 * SpillRowSink::kBatchRows + 1;
   const std::string path = testing::TempDir() + "/spill_roundtrip.bin";
   {
-    SpillRowSink sink(path, steps, width, /*batch_rows=*/2);  // force mid-run flushes
+    SpillRowSink sink(path, steps, width);
     std::vector<double> row(static_cast<std::size_t>(steps * width));
     for (long r = 0; r < rows; ++r) {
       for (long k = 0; k < steps * width; ++k) {
@@ -503,22 +494,18 @@ TEST(SinkWriteErrorTest, PropagatesThroughStripAccumulator) {
 
 TEST(SinkWriteErrorTest, SpillRowSinkFullDeviceThrowsTypedError) {
 #ifdef __linux__
-  // /dev/full fails every write with ENOSPC: the batched fwrite (or the
-  // final fclose flush) must surface as SinkWriteError, not an abort.
+  // /dev/full fails every write with ENOSPC: the batched fwrite at the
+  // first full batch must surface as SinkWriteError, not an abort. Rows
+  // before it only fill the sink's own buffer.
   obs::Counter& errors = obs::Registry::instance().counter("geo.sink_write_errors");
   const std::uint64_t before = errors.value();
-  const long steps = 4, width = 64;
-  SpillRowSink sink("/dev/full", steps, width, /*batch_rows=*/2);
+  const long steps = 4, width = 64;  // a batch (16 KiB) overflows the stdio buffer
+  SpillRowSink sink("/dev/full", steps, width);
   const std::vector<double> row(static_cast<std::size_t>(steps * width), 1.0);
-  bool threw = false;
-  try {
-    for (long r = 0; r < 8; ++r) sink.consume_row(r, row);
-    sink.close();
-  } catch (const SinkWriteError&) {
-    threw = true;
-  }
-  EXPECT_TRUE(threw);
+  for (long r = 0; r + 1 < SpillRowSink::kBatchRows; ++r) sink.consume_row(r, row);
+  EXPECT_THROW(sink.consume_row(SpillRowSink::kBatchRows - 1, row), SinkWriteError);
   EXPECT_GE(errors.value(), before + 1);
+  EXPECT_THROW(sink.consume_row(SpillRowSink::kBatchRows, row), spectra::Error);  // stays closed
 #else
   GTEST_SKIP() << "/dev/full is Linux-specific";
 #endif
@@ -531,9 +518,9 @@ TEST(SinkWriteErrorTest, DestructorSwallowsCloseFailure) {
   obs::Counter& errors = obs::Registry::instance().counter("geo.sink_write_errors");
   const std::uint64_t before = errors.value();
   {
-    SpillRowSink sink("/dev/full", 4, 64, /*batch_rows=*/64);
+    SpillRowSink sink("/dev/full", 4, 64);
     const std::vector<double> row(4 * 64, 1.0);
-    for (long r = 0; r < 4; ++r) sink.consume_row(r, row);
+    for (long r = 0; r < 4; ++r) sink.consume_row(r, row);  // under one batch: nothing written
   }  // destructor flushes, fails, and survives
   EXPECT_GE(errors.value(), before + 1);
 #else

@@ -177,10 +177,10 @@ class TraceTest : public ::testing::Test {
 
 TEST_F(TraceTest, NestedSpansProduceWellFormedTraceJson) {
   {
-    SG_TRACE_SPAN("outer");
+    SG_PROFILE_SCOPE("outer");
     {
-      SG_TRACE_SPAN("inner");
-      SG_TRACE_SPAN("sibling");
+      SG_PROFILE_SCOPE("inner");
+      SG_PROFILE_SCOPE("sibling");
     }
   }
   const std::string json = trace_json();
@@ -196,7 +196,7 @@ TEST_F(TraceTest, NestedSpansProduceWellFormedTraceJson) {
 
 TEST_F(TraceTest, SpansFromPoolThreadsAreRecorded) {
   ThreadPool pool(3);
-  pool.parallel_for(8, [](std::size_t) { SG_TRACE_SPAN("pool_span"); });
+  pool.parallel_for(8, [](std::size_t) { SG_PROFILE_SCOPE("pool_span"); });
   const std::string json = trace_json();
   EXPECT_TRUE(json_well_formed(json)) << json;
   std::size_t occurrences = 0;
@@ -208,7 +208,7 @@ TEST_F(TraceTest, SpansFromPoolThreadsAreRecorded) {
 }
 
 TEST_F(TraceTest, FlushWritesFile) {
-  { SG_TRACE_SPAN("flushed_span"); }
+  { SG_PROFILE_SCOPE("flushed_span"); }
   const std::string path = testing::TempDir() + "/sg_trace_flush.json";
   trace_flush(path);
   std::ifstream in(path);
@@ -223,7 +223,7 @@ TEST_F(TraceTest, FlushWritesFile) {
 TEST(TraceDisabledTest, DisabledSpansRecordNothing) {
   trace_set_enabled(false);
   trace_reset();
-  { SG_TRACE_SPAN("ghost"); }
+  { SG_PROFILE_SCOPE("ghost"); }
   const std::string json = trace_json();
   EXPECT_EQ(json.find("ghost"), std::string::npos);
   EXPECT_TRUE(json_well_formed(json));
@@ -526,6 +526,165 @@ TEST_F(ProfileTest, DumpWritesWellFormedJsonFile) {
   std::remove(path.c_str());
 }
 
+// --- the one probe: profile tree and trace from one scope ----------------
+
+struct TraceEventView {
+  std::uint64_t ts = 0;
+  std::uint64_t dur = 0;
+};
+
+// Every event named exactly `name` in a trace_json() document.
+std::vector<TraceEventView> trace_events(const std::string& json, const std::string& name) {
+  std::vector<TraceEventView> events;
+  const std::string key = "\"name\":\"" + name + "\"";
+  for (std::size_t pos = json.find(key); pos != std::string::npos; pos = json.find(key, pos + 1)) {
+    const std::size_t ts = json.find("\"ts\":", pos);
+    const std::size_t dur = json.find("\"dur\":", pos);
+    if (ts == std::string::npos || dur == std::string::npos) break;
+    events.push_back({std::strtoull(json.c_str() + ts + 5, nullptr, 10),
+                      std::strtoull(json.c_str() + dur + 6, nullptr, 10)});
+  }
+  return events;
+}
+
+// Sets both enable bits per case and restores the profiler's at the end,
+// so the suite behaves the same under SPECTRA_PROFILE. The global
+// SPECTRA_TRACE stream would take events out of trace_json(), so the
+// suite skips under it.
+class ProbeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (std::getenv("SPECTRA_TRACE") != nullptr) {
+      GTEST_SKIP() << "global trace stream owned by SPECTRA_TRACE";
+    }
+    was_profiling_ = profile_enabled();
+  }
+  void TearDown() override {
+    trace_set_enabled(false);
+    trace_reset();
+    profile_set_enabled(was_profiling_);
+    profile_reset();
+  }
+
+  static void set_probes(bool profile, bool trace) {
+    profile_set_enabled(profile);
+    trace_set_enabled(trace);
+    profile_reset();
+    trace_reset();
+  }
+
+ private:
+  bool was_profiling_ = false;
+};
+
+TEST_F(ProbeTest, EachEnableStateRecordsExactlyWhatIsOn) {
+  ThreadPool pool(3);
+  for (const bool profile : {false, true}) {
+    for (const bool trace : {false, true}) {
+      SCOPED_TRACE(std::string("profile=") + (profile ? "on" : "off") +
+                   " trace=" + (trace ? "on" : "off"));
+      set_probes(profile, trace);
+      { SG_PROFILE_SCOPE("probe_state_caller"); }
+      pool.parallel_for(4, [](std::size_t) { SG_PROFILE_SCOPE("probe_state_worker"); });
+
+      const std::string tree = profile_report_json();
+      if (profile) {
+        EXPECT_DOUBLE_EQ(json_number_after(tree, "\"probe_state_caller\"", "calls"), 1.0);
+        EXPECT_DOUBLE_EQ(json_number_after(tree, "\"probe_state_worker\"", "calls"), 4.0);
+      } else {
+        EXPECT_EQ(tree.find("probe_state_"), std::string::npos) << tree;
+      }
+      const std::string events = trace_json();
+      EXPECT_EQ(trace_events(events, "probe_state_caller").size(), trace ? 1u : 0u);
+      EXPECT_EQ(trace_events(events, "probe_state_worker").size(), trace ? 4u : 0u);
+    }
+  }
+}
+
+TEST_F(ProbeTest, EventDurationsAgreeWithInclusiveTime) {
+  set_probes(true, true);
+  constexpr std::size_t kCalls = 16;
+  const auto work = [] { std::this_thread::sleep_for(std::chrono::microseconds(150)); };
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    SG_PROFILE_SCOPE("probe_timed_caller");
+    work();
+  }
+  ThreadPool pool(2);
+  pool.parallel_for(kCalls, [&](std::size_t) {
+    SG_PROFILE_SCOPE("probe_timed_worker");
+    work();
+  });
+
+  const std::string tree = profile_report_json();
+  const std::string events = trace_json();
+  for (const char* name : {"probe_timed_caller", "probe_timed_worker"}) {
+    SCOPED_TRACE(name);
+    const std::vector<TraceEventView> recorded = trace_events(events, name);
+    ASSERT_EQ(recorded.size(), kCalls);
+    double dur_us = 0.0;
+    for (const TraceEventView& event : recorded) dur_us += static_cast<double>(event.dur);
+    const double incl_us =
+        json_number_after(tree, "\"" + std::string(name) + "\"", "incl_seconds") * 1e6;
+    ASSERT_GE(incl_us, 150.0 * kCalls);
+    // Both come from the same two clock reads per call; the event
+    // truncates each end to whole microseconds.
+    EXPECT_NEAR(dur_us, incl_us, 1.0 * kCalls);
+  }
+}
+
+// A start measured from an origin taken after the scope opened is
+// negative and wraps to a huge unsigned timestamp; no test process runs
+// for a day.
+constexpr std::uint64_t kOneDayUs = 86'400'000'000ULL;
+
+TEST_F(ProbeTest, NestedEventsNestAndCountFromAFixedOrigin) {
+  set_probes(false, true);
+  {
+    SG_PROFILE_SCOPE("probe_ts_outer");
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    {
+      SG_PROFILE_SCOPE("probe_ts_inner");
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  }
+  const std::string events = trace_json();
+  const std::vector<TraceEventView> outer = trace_events(events, "probe_ts_outer");
+  const std::vector<TraceEventView> inner = trace_events(events, "probe_ts_inner");
+  ASSERT_EQ(outer.size(), 1u);
+  ASSERT_EQ(inner.size(), 1u);
+  EXPECT_LT(outer[0].ts, kOneDayUs);
+  // Both ends of every event truncate from one origin, so truncation
+  // cannot push a child past its parent.
+  EXPECT_GE(inner[0].ts, outer[0].ts);
+  EXPECT_LE(inner[0].ts + inner[0].dur, outer[0].ts + outer[0].dur);
+}
+
+// The same check where it can actually fail: the first traced scope of a
+// fresh process that never set SPECTRA_TRACE. The threadsafe death-test
+// style re-executes this binary, so nothing has touched the trace state
+// before the statement runs.
+TEST(ProbeOriginTest, FirstTracedScopeOfAFreshProcessHasASmallTimestamp) {
+  if (std::getenv("SPECTRA_TRACE") != nullptr) {
+    GTEST_SKIP() << "global trace stream owned by SPECTRA_TRACE";
+  }
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        trace_set_enabled(true);
+        {
+          // Long enough that an origin taken at the scope's exit lies
+          // a whole microsecond past its start.
+          SG_PROFILE_SCOPE("probe_fresh");
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        const std::vector<TraceEventView> events = trace_events(trace_json(), "probe_fresh");
+        std::exit(events.size() == 1 && events[0].ts < kOneDayUs ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
+  ::testing::GTEST_FLAG(death_test_style) = style;
+}
+
 // --- resource sampler ---------------------------------------------------
 
 TEST(SamplerTest, ReadProcSampleReportsProcessFacts) {
@@ -662,8 +821,8 @@ TEST_F(TraceStreamTest, DrainStreamsEventsBeforeCloseFinalizes) {
       Registry::instance().counter("trace.stream_flushes").value();
 
   trace_stream_open(path);
-  { SG_TRACE_SPAN("stream_span_a"); }
-  { SG_TRACE_SPAN("stream_span_b"); }
+  { SG_PROFILE_SCOPE("stream_span_a"); }
+  { SG_PROFILE_SCOPE("stream_span_b"); }
   trace_stream_drain();
 
   // Events are on disk before process exit (the SIGKILL-safety claim)...
@@ -686,7 +845,7 @@ TEST_F(TraceStreamTest, RecordingPastThresholdDrainsWithoutExplicitFlush) {
   std::remove(path.c_str());
   trace_stream_open(path);
   for (std::uint64_t i = 0; i < kStreamFlushEvents + 8; ++i) {
-    SG_TRACE_SPAN("auto_drain_span");
+    SG_PROFILE_SCOPE("auto_drain_span");
   }
   // The recording thread itself crossed the threshold and drained.
   EXPECT_NE(slurp(path).find("auto_drain_span"), std::string::npos);
@@ -699,7 +858,7 @@ TEST_F(TraceStreamTest, FlushRoutesToStreamWhenItOwnsThePath) {
   const std::string path = testing::TempDir() + "/sg_trace_owned.json";
   std::remove(path.c_str());
   trace_stream_open(path);
-  { SG_TRACE_SPAN("owned_span"); }
+  { SG_PROFILE_SCOPE("owned_span"); }
   trace_flush(path);  // must drain, not overwrite with a whole document
   const std::string contents = slurp(path);
   EXPECT_NE(contents.find("owned_span"), std::string::npos);

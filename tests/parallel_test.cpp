@@ -294,12 +294,10 @@ TEST(ParallelDeterminismTest, GenerateCityBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-// The ISSUE acceptance gate: the strip-streamed path must be bitwise
-// identical to the legacy dense path at 24x24 for 1 and 8 threads, for
-// both aggregation modes. The two paths share for_each_generated_patch,
-// so a divergence would localize to the accumulators.
-geo::CityTensor run_citygen_24(std::size_t threads, geo::OverlapAggregation aggregation,
-                               bool streamed) {
+// The streamed city at 24x24, which spans several forward chunks, for
+// both aggregation modes: the chunks fan out on the pool, and the serial
+// window-order sewing keeps the output independent of the thread count.
+geo::CityTensor run_citygen_24(std::size_t threads, geo::OverlapAggregation aggregation) {
   ThreadsOverride guard(threads);
   const core::SpectraGanConfig config = tiny_config();
   core::SpectraGan model(config, /*seed=*/16);
@@ -308,53 +306,27 @@ geo::CityTensor run_citygen_24(std::size_t threads, geo::OverlapAggregation aggr
   for (double& v : context.values()) v = rng_fill.uniform(0, 1);
   Rng rng(21);
   const long steps = config.train_steps;
-  if (!streamed) return model.generate_city_dense(context, steps, rng, aggregation);
   geo::CityTensorSink sink(steps, 24, 24);
   model.generate_city_streamed(context, steps, rng, sink, aggregation);
   return sink.take();
 }
 
-TEST(ParallelDeterminismTest, StreamedCityBitwiseEqualsDensePath) {
+TEST(ParallelDeterminismTest, StreamedCityBitwiseIdenticalAcrossThreadCounts) {
   for (const geo::OverlapAggregation aggregation :
        {geo::OverlapAggregation::kMean, geo::OverlapAggregation::kMedian}) {
-    const geo::CityTensor dense = run_citygen_24(1, aggregation, /*streamed=*/false);
+    const geo::CityTensor serial = run_citygen_24(1, aggregation);
     // Two threads is the benchmark's citygen setting: the caller's chunk
     // and a worker's both run their nested regions inline.
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      const geo::CityTensor streamed = run_citygen_24(threads, aggregation, /*streamed=*/true);
-      ASSERT_EQ(streamed.size(), dense.size());
-      for (long i = 0; i < dense.size(); ++i) {
-        ASSERT_EQ(streamed[i], dense[i])
-            << "streamed path diverges from dense at flat index " << i << " with " << threads
-            << " thread(s), aggregation "
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      const geo::CityTensor parallel = run_citygen_24(threads, aggregation);
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (long i = 0; i < serial.size(); ++i) {
+        ASSERT_EQ(parallel[i], serial[i])
+            << "streamed city diverges at flat index " << i << " with " << threads
+            << " threads, aggregation "
             << (aggregation == geo::OverlapAggregation::kMean ? "mean" : "median");
       }
     }
-  }
-}
-
-geo::CityTensor run_median_finalize(std::size_t threads) {
-  ThreadsOverride guard(threads);
-  geo::PatchSpec spec;
-  spec.traffic_h = spec.traffic_w = 4;
-  spec.context_h = spec.context_w = 8;
-  spec.stride = 2;
-  geo::OverlapAccumulator acc(3, 10, 10, geo::OverlapAggregation::kMedian);
-  Rng rng(9);
-  std::vector<float> patch(static_cast<std::size_t>(3 * 4 * 4));
-  for (const geo::PatchWindow& w : geo::enumerate_windows(10, 10, spec)) {
-    for (float& v : patch) v = static_cast<float>(rng.uniform(0, 5));
-    acc.add_patch(w, spec, patch);
-  }
-  return acc.finalize();
-}
-
-TEST(ParallelDeterminismTest, MedianFinalizeBitwiseIdenticalAcrossThreadCounts) {
-  const geo::CityTensor serial = run_median_finalize(1);
-  const geo::CityTensor parallel = run_median_finalize(8);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (long i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i], parallel[i]) << "median finalize diverges at flat index " << i;
   }
 }
 

@@ -12,6 +12,7 @@
 #include "dsp/expansion.h"
 #include "dsp/fft.h"
 #include "geo/patching.h"
+#include "geo/strip_accumulator.h"
 #include "nn/conv.h"
 #include "nn/init.h"
 #include "nn/lstm.h"
@@ -151,12 +152,14 @@ TEST_P(SewingSweepTest, ConstantFieldSurvivesOverlapAveraging) {
   spec.stride = 1 + static_cast<long>(rng.uniform_index(4));
   const double value = rng.uniform(0.1, 5.0);
 
-  geo::OverlapAccumulator acc(2, h, w);
+  geo::CityTensorSink sink(2, h, w);
+  geo::StripAccumulator acc(2, h, w, sink);
   const std::vector<float> patch(static_cast<std::size_t>(2 * 16), static_cast<float>(value));
   for (const geo::PatchWindow& window : geo::enumerate_windows(h, w, spec)) {
     acc.add_patch(window, spec, patch);
   }
-  const geo::CityTensor out = acc.finalize();
+  acc.finish();
+  const geo::CityTensor out = sink.take();
   for (long t = 0; t < 2; ++t) {
     for (long p = 0; p < h * w; ++p) {
       EXPECT_NEAR(out[t * h * w + p], value, 1e-6 * value);  // float patch storage
@@ -175,11 +178,13 @@ TEST_P(SewingSweepTest, ExtractThenSewRecoversFieldWhenPatchesAgree) {
 
   geo::PatchSpec spec;
   spec.stride = 2;
-  geo::OverlapAccumulator acc(3, h, w);
+  geo::CityTensorSink sink(3, h, w);
+  geo::StripAccumulator acc(3, h, w, sink);
   for (const geo::PatchWindow& window : geo::enumerate_windows(h, w, spec)) {
     acc.add_patch(window, spec, geo::extract_traffic_patch(field, window, spec));
   }
-  const geo::CityTensor out = acc.finalize();
+  acc.finish();
+  const geo::CityTensor out = sink.take();
   for (long i = 0; i < field.size(); ++i) {
     EXPECT_NEAR(out[i], field[i], 1e-6);  // float patch storage
   }
