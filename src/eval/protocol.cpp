@@ -1,9 +1,11 @@
 #include "eval/protocol.h"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "metrics/autocorr_l1.h"
 #include "metrics/fvd.h"
@@ -12,6 +14,7 @@
 #include "metrics/tstr.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "util/binio.h"
 #include "util/env.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -71,6 +74,8 @@ MetricRow data_reference_row(const data::City& city, const EvalConfig& config) {
 namespace {
 
 constexpr std::uint32_t kTensorMagic = 0x53475354;  // "SGST"
+// u32 magic, then the i64 steps, height and width.
+constexpr std::streamoff kTensorHeaderBytes = 4 + 3 * 8;
 
 std::string sanitize(const std::string& s) {
   std::string out;
@@ -91,40 +96,39 @@ std::string cache_path(const std::string& cache_dir, const std::string& model,
 }  // namespace
 
 void save_city_tensor(const std::string& path, const geo::CityTensor& tensor) {
-  std::ofstream out(path, std::ios::binary);
-  SG_CHECK(static_cast<bool>(out), "cannot open " + path + " for writing");
-  const std::uint32_t magic = kTensorMagic;
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  binio::Writer header;
+  header.put(kTensorMagic);
   const std::int64_t dims[3] = {tensor.steps(), tensor.height(), tensor.width()};
-  out.write(reinterpret_cast<const char*>(dims), sizeof(dims));
-  out.write(reinterpret_cast<const char*>(tensor.values().data()),
-            static_cast<std::streamsize>(tensor.values().size() * sizeof(double)));
-  SG_CHECK(static_cast<bool>(out), "write failed for " + path);
+  header.put_array(dims, 3);
+  binio::write_file_atomic(path, std::as_bytes(std::span(header.bytes())),
+                           std::as_bytes(std::span(tensor.values())));
 }
 
 std::optional<geo::CityTensor> load_city_tensor(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in || magic != kTensorMagic) return std::nullopt;
-  std::int64_t dims[3] = {0, 0, 0};
-  in.read(reinterpret_cast<char*>(dims), sizeof(dims));
-  if (!in) return std::nullopt;
+  // Only the header is buffered; the payload is read straight into the
+  // tensor.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff file_bytes = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  std::array<std::uint8_t, kTensorHeaderBytes> header{};
+  if (file_bytes < kTensorHeaderBytes ||
+      !in.seekg(0).read(reinterpret_cast<char*>(header.data()), kTensorHeaderBytes)) {
+    return std::nullopt;
+  }
+  binio::Reader<> r(header);
+  if (r.get<std::uint32_t>() != kTensorMagic) return std::nullopt;
+  std::array<long, 3> extents{};
+  for (long& extent : extents) extent = r.get<std::int64_t>();
   // The dims are untrusted: a bad extent, an overflowing product or a
   // payload that is not exactly product × 8 bytes is a cache miss, checked
   // before anything is allocated.
-  const std::optional<long> count = geo::checked_element_count(dims[0], dims[1], dims[2]);
-  if (!count) return std::nullopt;
-  const std::streamoff header = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::streamoff payload = in.tellg() - header;
-  in.seekg(header);
-  if (!in || payload % 8 != 0 || payload / 8 != *count) return std::nullopt;
-  geo::CityTensor tensor(dims[0], dims[1], dims[2]);
-  in.read(reinterpret_cast<char*>(tensor.values().data()),
-          static_cast<std::streamsize>(tensor.values().size() * sizeof(double)));
-  if (!in) return std::nullopt;
+  const std::size_t payload = static_cast<std::size_t>(file_bytes - kTensorHeaderBytes);
+  const std::optional<std::size_t> count = binio::fitting_count<double>(extents, payload);
+  if (!count || *count * sizeof(double) != payload) return std::nullopt;
+  geo::CityTensor tensor(extents[0], extents[1], extents[2]);
+  if (!in.read(reinterpret_cast<char*>(tensor.values().data()),
+               static_cast<std::streamsize>(payload))) {
+    return std::nullopt;
+  }
   return tensor;
 }
 

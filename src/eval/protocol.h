@@ -64,7 +64,10 @@ geo::CityTensor generate_for_fold(const std::string& model_name,
 // Tables 2-5).
 std::vector<MetricRow> average_by_method(const std::vector<MetricRow>& rows);
 
-// Binary CityTensor (de)serialization used by the cache and by examples.
+// Binary CityTensor (de)serialization used by the cache and by examples
+// (.sgt: u32 "SGST" magic, i64 steps, height, width, then the f64 values).
+// save replaces `path` atomically; load returns nullopt for a missing or
+// malformed file.
 void save_city_tensor(const std::string& path, const geo::CityTensor& tensor);
 std::optional<geo::CityTensor> load_city_tensor(const std::string& path);
 

@@ -1,36 +1,20 @@
 #include "geo/city_tensor.h"
 
 #include <algorithm>
+#include <array>
 
+#include "util/binio.h"
 #include "util/error.h"
 
 namespace spectra::geo {
 
-std::optional<long> checked_element_count(long steps, long height, long width) {
-  long count = 0;
-  if (steps < 0 || height < 0 || width < 0 || __builtin_mul_overflow(steps, height, &count) ||
-      __builtin_mul_overflow(count, width, &count)) {
-    return std::nullopt;
-  }
-  return count;
-}
-
-namespace {
-
-long element_count_or_throw(long steps, long height, long width) {
-  const std::optional<long> count = checked_element_count(steps, height, width);
+CityTensor::CityTensor(long steps, long height, long width)
+    : steps_(steps), height_(height), width_(width) {
+  const std::optional<long> count = binio::checked_count(std::array{steps, height, width});
   SG_CHECK(count.has_value(),
            "CityTensor dimensions must be non-negative with a product that fits in a long");
-  return *count;
+  values_.assign(static_cast<std::size_t>(*count), 0.0);
 }
-
-}  // namespace
-
-CityTensor::CityTensor(long steps, long height, long width)
-    : steps_(steps),
-      height_(height),
-      width_(width),
-      values_(static_cast<std::size_t>(element_count_or_throw(steps, height, width)), 0.0) {}
 
 double& CityTensor::at(long t, long row, long col) {
   SG_CHECK(t >= 0 && t < steps_ && row >= 0 && row < height_ && col >= 0 && col < width_,

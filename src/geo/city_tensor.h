@@ -5,23 +5,17 @@
 
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "geo/grid.h"
 
 namespace spectra::geo {
 
-// steps·height·width when every extent is non-negative and the product
-// fits in a long; nullopt otherwise. Readers of on-disk dims check here
-// before allocating.
-std::optional<long> checked_element_count(long steps, long height, long width);
-
 class CityTensor {
  public:
   CityTensor() = default;
   // Throws spectra::Error, before allocating, unless
-  // checked_element_count accepts the extents.
+  // binio::checked_count accepts the extents.
   CityTensor(long steps, long height, long width);
 
   long steps() const { return steps_; }

@@ -1,64 +1,48 @@
 #include "nn/serialize.h"
 
 #include <cstdint>
-#include <fstream>
+#include <span>
 
+#include "util/binio.h"
 #include "util/error.h"
 
 namespace spectra::nn {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x53474e4e;  // "SGNN"
-
-void write_u64(std::ofstream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-std::uint64_t read_u64(std::ifstream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  SG_CHECK(static_cast<bool>(in), "unexpected end of parameter file");
-  return v;
-}
 }  // namespace
 
 void save_parameters(const std::string& path, const std::vector<Var>& params) {
-  std::ofstream out(path, std::ios::binary);
-  SG_CHECK(static_cast<bool>(out), "cannot open " + path + " for writing");
-  std::uint32_t magic = kMagic;
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  write_u64(out, params.size());
+  binio::Writer w;
+  w.put(kMagic);
+  w.put<std::uint64_t>(params.size());
   for (const Var& p : params) {
     const Tensor& t = p.value();
-    write_u64(out, static_cast<std::uint64_t>(t.rank()));
-    for (int i = 0; i < t.rank(); ++i) write_u64(out, static_cast<std::uint64_t>(t.dim(i)));
-    out.write(reinterpret_cast<const char*>(t.data()),
-              static_cast<std::streamsize>(static_cast<std::size_t>(t.numel()) * sizeof(float)));
+    w.put(static_cast<std::uint64_t>(t.rank()));
+    for (int i = 0; i < t.rank(); ++i) w.put(static_cast<std::uint64_t>(t.dim(i)));
+    w.put_array(t.data(), static_cast<std::size_t>(t.numel()));
   }
-  SG_CHECK(static_cast<bool>(out), "write failed for " + path);
+  binio::write_file_atomic(path, std::as_bytes(std::span(w.bytes())));
 }
 
 void load_parameters(const std::string& path, std::vector<Var>& params) {
-  std::ifstream in(path, std::ios::binary);
-  SG_CHECK(static_cast<bool>(in), "cannot open " + path + " for reading");
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  SG_CHECK(static_cast<bool>(in) && magic == kMagic, path + " is not a parameter file");
-  const std::uint64_t count = read_u64(in);
+  const binio::Bytes file = binio::read_file(path);
+  binio::Reader<> r(file);
+  SG_CHECK(r.get<std::uint32_t>() == kMagic, path + " is not a parameter file");
+  const std::uint64_t count = r.get<std::uint64_t>();
   SG_CHECK(count == params.size(), "parameter count mismatch: file has " + std::to_string(count) +
                                        ", model has " + std::to_string(params.size()));
   for (Var& p : params) {
     Tensor& t = p.value_mut();
-    const std::uint64_t rank = read_u64(in);
-    SG_CHECK(rank == static_cast<std::uint64_t>(t.rank()), "parameter rank mismatch");
+    SG_CHECK(r.get<std::uint64_t>() == static_cast<std::uint64_t>(t.rank()),
+             "parameter rank mismatch");
     for (int i = 0; i < t.rank(); ++i) {
-      const std::uint64_t extent = read_u64(in);
-      SG_CHECK(extent == static_cast<std::uint64_t>(t.dim(i)), "parameter shape mismatch");
+      SG_CHECK(r.get<std::uint64_t>() == static_cast<std::uint64_t>(t.dim(i)),
+               "parameter shape mismatch");
     }
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(static_cast<std::size_t>(t.numel()) * sizeof(float)));
-    SG_CHECK(static_cast<bool>(in), "unexpected end of parameter data");
+    r.get_array(t.data(), static_cast<std::size_t>(t.numel()));
   }
+  r.expect_end();
 }
 
 }  // namespace spectra::nn

@@ -11,11 +11,13 @@
 
 namespace spectra::nn {
 
-// Write shapes + float data for each parameter, in order.
-// Throws spectra::Error on I/O failure.
+// Write shapes + float data for each parameter, in order, replacing
+// `path` atomically (binio::write_file_atomic). Throws spectra::Error on
+// I/O failure.
 void save_parameters(const std::string& path, const std::vector<Var>& params);
 
-// Load into existing parameters; shapes must match exactly.
+// Load into existing parameters; count and shapes must match exactly and
+// the file must end after the last parameter. Throws spectra::Error.
 void load_parameters(const std::string& path, std::vector<Var>& params);
 
 }  // namespace spectra::nn

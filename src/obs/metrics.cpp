@@ -26,22 +26,6 @@ void atomic_add(std::atomic<double>& target, double delta) {
   }
 }
 
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 // SplitMix64 finalizer: the reservoir's random source is a pure hash of
 // the observation index, so sampling needs no RNG state and stays
 // race-free (two threads hashing distinct indices never contend).
@@ -66,6 +50,28 @@ double sorted_quantile(std::vector<double>& values, double q) {
 }
 
 }  // namespace
+
+std::string format_double(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+      continue;
+    }
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out;
+}
 
 void Gauge::add(double delta) { atomic_add(value_, delta); }
 

@@ -13,12 +13,20 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace spectra::obs {
+
+// `s` as the body of a JSON string: quotes and backslashes escaped,
+// control characters as \u00XX. Every JSON writer in obs uses it.
+std::string json_escape(std::string_view s);
+
+// `value` as "%.17g", which reads back to the same double.
+std::string format_double(double value);
 
 class Counter {
  public:

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -81,15 +82,6 @@ ThreadTree& thread_tree() {
     return t;
   }();
   return *tree;
-}
-
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-  return out;
 }
 
 // Primary autostart: runs at static init in any binary that opens

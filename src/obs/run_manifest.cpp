@@ -1,7 +1,6 @@
 #include "obs/run_manifest.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -37,22 +36,6 @@ extern char** environ;
 namespace spectra::obs {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 // Wall time origin: first touch of the manifest machinery (static init
 // in any linked binary, so effectively process start).

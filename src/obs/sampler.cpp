@@ -1,7 +1,6 @@
 #include "obs/sampler.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -23,12 +22,6 @@ double status_kb(const std::string& contents, const char* key) {
   if (pos == std::string::npos) return 0.0;
   const char* p = contents.c_str() + pos + std::string(key).size();
   return std::strtod(p, nullptr) * 1024.0;
-}
-
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
 }
 
 // Milliseconds since the first call (sampler time origin for JSONL ticks).

@@ -76,15 +76,6 @@ ThreadBuffer& thread_buffer() {
   return *buffer;
 }
 
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-  return out;
-}
-
 // Primary autostart: runs at static init in any binary that opens
 // scopes (they reference this TU). The Registry::instance() hook is the
 // backstop; the once-guard makes the pair idempotent.

@@ -1,18 +1,13 @@
 #include "obs/train_log.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "obs/metrics.h"
 
 namespace spectra::obs {
 
 namespace {
-
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 // Locate `"key":` in `line` and parse the number that follows.
 std::optional<double> find_number(const std::string& line, const char* key) {

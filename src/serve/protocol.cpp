@@ -1,75 +1,32 @@
 #include "serve/protocol.h"
 
-#include <cstring>
+#include <array>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "geo/city_tensor.h"
 #include "obs/metrics.h"
+#include "util/binio.h"
 
 namespace spectra::serve {
 
 namespace {
 
-class PayloadWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) { append(&v, sizeof v); }
-  void u64(std::uint64_t v) { append(&v, sizeof v); }
-  void f64s(const double* values, std::size_t count) { append(values, count * sizeof(double)); }
-  void bytes(const std::string& s) { append(s.data(), s.size()); }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
+using WireReader = binio::Reader<ProtocolError>;
 
- private:
-  void append(const void* src, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(src);
-    buf_.insert(buf_.end(), b, b + n);
-  }
-  std::vector<std::uint8_t> buf_;
-};
+// Starts a payload with its frame type.
+binio::Writer frame(FrameType type) {
+  binio::Writer w;
+  w.put(static_cast<std::uint32_t>(type));
+  return w;
+}
 
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::vector<std::uint8_t>& payload)
-      : data_(payload.data()), size_(payload.size()) {}
-
-  std::uint8_t u8() {
-    std::uint8_t v = 0;
-    read(&v, sizeof v);
-    return v;
+// Reads the frame type and throws unless it is `type`.
+void expect_type(WireReader& r, FrameType type, const char* name) {
+  if (static_cast<FrameType>(r.get<std::uint32_t>()) != type) {
+    throw ProtocolError(std::string("not an ") + name + " frame");
   }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    read(&v, sizeof v);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    read(&v, sizeof v);
-    return v;
-  }
-  void f64s(double* out, std::size_t count) { read(out, count * sizeof(double)); }
-  std::string bytes(std::size_t n) {
-    std::string s(n, '\0');
-    read(s.data(), n);
-    return s;
-  }
-  std::size_t remaining() const { return size_ - pos_; }
-  void expect_end() const {
-    if (pos_ != size_) throw ProtocolError("trailing bytes in frame");
-  }
-
- private:
-  void read(void* out, std::size_t n) {
-    if (size_ - pos_ < n) throw ProtocolError("truncated frame payload");
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-  }
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+}
 
 std::uint8_t status_code(RequestState state) {
   switch (state) {
@@ -107,100 +64,87 @@ std::vector<std::uint8_t> encode_request(const WireRequest& request) {
   SG_CHECK(static_cast<long>(request.context.size()) ==
                request.channels * request.height * request.width,
            "encode_request: context size does not match shape");
-  PayloadWriter w;
-  w.u32(static_cast<std::uint32_t>(FrameType::kRequest));
-  w.u32(kProtocolVersion);
-  w.u64(request.id);
-  w.u64(request.seed);
-  w.u32(static_cast<std::uint32_t>(request.steps));
-  w.u32(static_cast<std::uint32_t>(request.channels));
-  w.u32(static_cast<std::uint32_t>(request.height));
-  w.u32(static_cast<std::uint32_t>(request.width));
-  w.u8(request.aggregation == geo::OverlapAggregation::kMean ? std::uint8_t{0} : std::uint8_t{1});
-  w.f64s(request.context.data(), request.context.size());
+  binio::Writer w = frame(FrameType::kRequest);
+  w.put(kProtocolVersion);
+  w.put(request.id);
+  w.put(request.seed);
+  for (const long extent : {request.steps, request.channels, request.height, request.width}) {
+    w.put(static_cast<std::uint32_t>(extent));
+  }
+  w.put<std::uint8_t>(request.aggregation == geo::OverlapAggregation::kMean ? 0 : 1);
+  w.put_array(request.context.data(), request.context.size());
   return w.take();
 }
 
 FrameType frame_type(const std::vector<std::uint8_t>& payload) {
-  PayloadReader r(payload);
-  return static_cast<FrameType>(r.u32());
+  return static_cast<FrameType>(WireReader(payload).get<std::uint32_t>());
 }
 
 WireRequest decode_request(const std::vector<std::uint8_t>& payload) {
-  PayloadReader r(payload);
-  if (static_cast<FrameType>(r.u32()) != FrameType::kRequest) {
-    throw ProtocolError("not an SGRQ frame");
-  }
-  const std::uint32_t version = r.u32();
+  WireReader r(payload);
+  expect_type(r, FrameType::kRequest, "SGRQ");
+  const std::uint32_t version = r.get<std::uint32_t>();
   if (version != kProtocolVersion) {
     throw ProtocolError("unsupported protocol version " + std::to_string(version));
   }
   WireRequest request;
-  request.id = r.u64();
-  request.seed = r.u64();
-  request.steps = static_cast<long>(r.u32());
-  request.channels = static_cast<long>(r.u32());
-  request.height = static_cast<long>(r.u32());
-  request.width = static_cast<long>(r.u32());
-  const std::uint8_t agg = r.u8();
+  request.id = r.get<std::uint64_t>();
+  request.seed = r.get<std::uint64_t>();
+  for (long* extent : {&request.steps, &request.channels, &request.height, &request.width}) {
+    *extent = static_cast<long>(r.get<std::uint32_t>());
+  }
+  const std::uint8_t agg = r.get<std::uint8_t>();
   if (agg > 1) throw ProtocolError("bad aggregation code " + std::to_string(agg));
   request.aggregation =
       agg == 0 ? geo::OverlapAggregation::kMean : geo::OverlapAggregation::kMedian;
   if (request.steps <= 0 || request.channels <= 0 || request.height <= 0 || request.width <= 0) {
     throw ProtocolError("request shape must be positive");
   }
-  const std::optional<long> cells =
-      geo::checked_element_count(request.channels, request.height, request.width);
-  std::size_t context_bytes = 0;
-  if (!cells ||
-      __builtin_mul_overflow(static_cast<std::size_t>(*cells), sizeof(double), &context_bytes)) {
-    throw ProtocolError("declared context shape overflows");
-  }
-  if (r.remaining() != context_bytes) {
+  const std::size_t cells =
+      r.fitting_count<double>(std::array{request.channels, request.height, request.width});
+  if (r.remaining() != cells * sizeof(double)) {
     throw ProtocolError("context size does not match declared shape");
   }
-  request.context.resize(static_cast<std::size_t>(*cells));
-  r.f64s(request.context.data(), request.context.size());
+  request.context.resize(cells);
+  r.get_array(request.context.data(), cells);
   r.expect_end();
   return request;
 }
 
 WireRow decode_row(const std::vector<std::uint8_t>& payload) {
-  PayloadReader r(payload);
-  if (static_cast<FrameType>(r.u32()) != FrameType::kRow) throw ProtocolError("not an SGRW frame");
+  WireReader r(payload);
+  expect_type(r, FrameType::kRow, "SGRW");
   WireRow row;
-  row.id = r.u64();
-  row.row = static_cast<long>(r.u32());
-  const std::size_t count = r.u32();
+  row.id = r.get<std::uint64_t>();
+  row.row = static_cast<long>(r.get<std::uint32_t>());
+  const std::size_t count = r.get<std::uint32_t>();
   if (r.remaining() != count * sizeof(double)) throw ProtocolError("row size mismatch");
   row.values.resize(count);
-  r.f64s(row.values.data(), count);
+  r.get_array(row.values.data(), count);
   r.expect_end();
   return row;
 }
 
 WireDone decode_done(const std::vector<std::uint8_t>& payload) {
-  PayloadReader r(payload);
-  if (static_cast<FrameType>(r.u32()) != FrameType::kDone) throw ProtocolError("not an SGDN frame");
+  WireReader r(payload);
+  expect_type(r, FrameType::kDone, "SGDN");
   WireDone done;
-  done.id = r.u64();
-  done.state = status_state(r.u8());
-  done.rows = static_cast<long>(r.u32());
-  const std::size_t message_bytes = r.u32();
+  done.id = r.get<std::uint64_t>();
+  done.state = status_state(r.get<std::uint8_t>());
+  done.rows = static_cast<long>(r.get<std::uint32_t>());
+  const std::size_t message_bytes = r.get<std::uint32_t>();
   if (r.remaining() != message_bytes) throw ProtocolError("done message size mismatch");
-  done.message = r.bytes(message_bytes);
+  done.message = r.get_string(message_bytes);
   r.expect_end();
   return done;
 }
 
 std::string decode_error(const std::vector<std::uint8_t>& payload) {
-  PayloadReader r(payload);
-  if (static_cast<FrameType>(r.u32()) != FrameType::kError) {
-    throw ProtocolError("not an SGER frame");
-  }
-  const std::size_t message_bytes = r.u32();
+  WireReader r(payload);
+  expect_type(r, FrameType::kError, "SGER");
+  const std::size_t message_bytes = r.get<std::uint32_t>();
   if (r.remaining() != message_bytes) throw ProtocolError("error message size mismatch");
-  std::string message = r.bytes(message_bytes);
+  std::string message = r.get_string(message_bytes);
   r.expect_end();
   return message;
 }
@@ -233,39 +177,33 @@ bool read_frame(std::FILE* in, std::vector<std::uint8_t>& payload) {
 }
 
 void FrameWriter::write_row(std::uint64_t id, long row, const std::vector<double>& values) {
-  PayloadWriter w;
-  w.u32(static_cast<std::uint32_t>(FrameType::kRow));
-  w.u64(id);
-  w.u32(static_cast<std::uint32_t>(row));
-  w.u32(static_cast<std::uint32_t>(values.size()));
-  w.f64s(values.data(), values.size());
-  const std::vector<std::uint8_t> payload = w.take();
+  binio::Writer w = frame(FrameType::kRow);
+  w.put(id);
+  w.put(static_cast<std::uint32_t>(row));
+  w.put(static_cast<std::uint32_t>(values.size()));
+  w.put_array(values.data(), values.size());
   MutexLock lock(mutex_);
-  write_frame(out_, payload);
+  write_frame(out_, w.bytes());
 }
 
 void FrameWriter::write_done(std::uint64_t id, RequestState state, long rows,
                              const std::string& message) {
-  PayloadWriter w;
-  w.u32(static_cast<std::uint32_t>(FrameType::kDone));
-  w.u64(id);
-  w.u8(status_code(state));
-  w.u32(static_cast<std::uint32_t>(rows));
-  w.u32(static_cast<std::uint32_t>(message.size()));
-  w.bytes(message);
-  const std::vector<std::uint8_t> payload = w.take();
+  binio::Writer w = frame(FrameType::kDone);
+  w.put(id);
+  w.put(status_code(state));
+  w.put(static_cast<std::uint32_t>(rows));
+  w.put(static_cast<std::uint32_t>(message.size()));
+  w.put_array(message.data(), message.size());
   MutexLock lock(mutex_);
-  write_frame(out_, payload);
+  write_frame(out_, w.bytes());
 }
 
 void FrameWriter::write_error(const std::string& message) {
-  PayloadWriter w;
-  w.u32(static_cast<std::uint32_t>(FrameType::kError));
-  w.u32(static_cast<std::uint32_t>(message.size()));
-  w.bytes(message);
-  const std::vector<std::uint8_t> payload = w.take();
+  binio::Writer w = frame(FrameType::kError);
+  w.put(static_cast<std::uint32_t>(message.size()));
+  w.put_array(message.data(), message.size());
   MutexLock lock(mutex_);
-  write_frame(out_, payload);
+  write_frame(out_, w.bytes());
 }
 
 // --- daemon -----------------------------------------------------------------

@@ -1,18 +1,14 @@
 #include "train/checkpoint.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <unistd.h>
-#endif
+#include <span>
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "util/binio.h"
 #include "util/env.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -39,118 +35,60 @@ enum SectionId : std::uint32_t {
 };
 constexpr std::uint32_t kSectionCount = 6;
 
-std::uint64_t fnv1a64(const char* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-// --- buffer-backed primitive (de)serialization -------------------------
-
-void put_bytes(std::string& buf, const void* p, std::size_t n) {
-  buf.append(static_cast<const char*>(p), n);
-}
-void put_u32(std::string& buf, std::uint32_t v) { put_bytes(buf, &v, sizeof(v)); }
-void put_u64(std::string& buf, std::uint64_t v) { put_bytes(buf, &v, sizeof(v)); }
-void put_f64(std::string& buf, double v) { put_bytes(buf, &v, sizeof(v)); }
-
-// Cursor over a read-only byte span; every get_* bounds-checks so a
-// truncated section fails loudly instead of reading garbage.
-struct Reader {
-  const char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  void get_bytes(void* out, std::size_t n) {
-    SG_CHECK(pos + n <= size, "checkpoint section truncated");
-    std::memcpy(out, data + pos, n);
-    pos += n;
-  }
-  std::uint32_t get_u32() {
-    std::uint32_t v = 0;
-    get_bytes(&v, sizeof(v));
-    return v;
-  }
-  std::uint64_t get_u64() {
-    std::uint64_t v = 0;
-    get_bytes(&v, sizeof(v));
-    return v;
-  }
-  double get_f64() {
-    double v = 0;
-    get_bytes(&v, sizeof(v));
-    return v;
-  }
-  void expect_end() const { SG_CHECK(pos == size, "checkpoint section has trailing bytes"); }
-};
-
 // --- composite payloads ------------------------------------------------
 
-void put_tensor_list(std::string& buf, const std::vector<nn::Tensor>& tensors) {
-  put_u64(buf, tensors.size());
+void put_tensor_list(binio::Writer& w, const std::vector<nn::Tensor>& tensors) {
+  w.put<std::uint64_t>(tensors.size());
   for (const nn::Tensor& t : tensors) {
-    put_u32(buf, static_cast<std::uint32_t>(t.rank()));
-    for (int i = 0; i < t.rank(); ++i) put_u64(buf, static_cast<std::uint64_t>(t.dim(i)));
-    put_bytes(buf, t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
+    w.put(static_cast<std::uint32_t>(t.rank()));
+    for (int i = 0; i < t.rank(); ++i) w.put(static_cast<std::uint64_t>(t.dim(i)));
+    w.put_array(t.data(), static_cast<std::size_t>(t.numel()));
   }
 }
 
-std::vector<nn::Tensor> get_tensor_list(Reader& r) {
-  const std::uint64_t count = r.get_u64();
-  // A plausibility bound so a corrupt count fails fast instead of
-  // attempting a multi-gigabyte allocation.
+std::vector<nn::Tensor> get_tensor_list(binio::Reader<>& r) {
+  // Every tensor starts with its u32 rank, so a count whose ranks alone
+  // overrun the section is corrupt: checked before reserving.
+  const long declared = static_cast<long>(r.get<std::uint64_t>());
+  const std::size_t count = r.fitting_count<std::uint32_t>({&declared, 1});
+  // A plausibility bound so a corrupt count fails fast.
   SG_CHECK(count <= 1u << 20, "checkpoint tensor count implausible");
   std::vector<nn::Tensor> tensors;
   tensors.reserve(count);
-  for (std::uint64_t k = 0; k < count; ++k) {
-    const std::uint32_t rank = r.get_u32();
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint32_t rank = r.get<std::uint32_t>();
     SG_CHECK(rank <= 8, "checkpoint tensor rank implausible");
     nn::Shape shape(rank);
-    // Overflow-safe element count, bounded by the bytes actually left in
-    // the section, so corrupt dims fail before any allocation.
-    const std::uint64_t max_numel = (r.size - r.pos) / sizeof(float);
-    std::uint64_t numel = 1;
-    for (std::uint32_t i = 0; i < rank; ++i) {
-      const std::uint64_t extent = r.get_u64();
-      SG_CHECK(extent == 0 || numel <= max_numel / extent,
-               "checkpoint tensor data truncated");
-      numel *= extent;
-      shape[i] = static_cast<long>(extent);
-    }
-    nn::Tensor t(shape);
-    r.get_bytes(t.data(), numel * sizeof(float));
+    for (long& extent : shape) extent = static_cast<long>(r.get<std::uint64_t>());
+    const std::size_t numel = r.fitting_count<float>(shape);
+    nn::Tensor t(std::move(shape));
+    r.get_array(t.data(), numel);
     tensors.push_back(std::move(t));
   }
   return tensors;
 }
 
-void put_doubles(std::string& buf, const std::vector<double>& xs) {
-  put_u64(buf, xs.size());
-  for (double x : xs) put_f64(buf, x);
+void put_doubles(binio::Writer& w, const std::vector<double>& xs) {
+  w.put<std::uint64_t>(xs.size());
+  w.put_array(xs.data(), xs.size());
 }
 
-std::vector<double> get_doubles(Reader& r) {
-  const std::uint64_t count = r.get_u64();
-  SG_CHECK(count <= (r.size - r.pos) / sizeof(double), "checkpoint history truncated");
-  std::vector<double> xs(count);
-  for (std::uint64_t i = 0; i < count; ++i) xs[i] = r.get_f64();
+std::vector<double> get_doubles(binio::Reader<>& r) {
+  const long declared = static_cast<long>(r.get<std::uint64_t>());
+  std::vector<double> xs(r.fitting_count<double>({&declared, 1}));
+  r.get_array(xs.data(), xs.size());
   return xs;
 }
 
-std::string encode_adam(const AdamSnapshot& a) {
-  std::string buf;
-  put_u64(buf, a.step_count);
-  put_tensor_list(buf, a.m);
-  put_tensor_list(buf, a.v);
-  return buf;
+void put_adam(binio::Writer& w, const AdamSnapshot& a) {
+  w.put(a.step_count);
+  put_tensor_list(w, a.m);
+  put_tensor_list(w, a.v);
 }
 
-AdamSnapshot decode_adam(Reader& r) {
+AdamSnapshot get_adam(binio::Reader<>& r) {
   AdamSnapshot a;
-  a.step_count = r.get_u64();
+  a.step_count = r.get<std::uint64_t>();
   a.m = get_tensor_list(r);
   a.v = get_tensor_list(r);
   return a;
@@ -158,11 +96,23 @@ AdamSnapshot decode_adam(Reader& r) {
 
 // --- file-level helpers ------------------------------------------------
 
-void append_section(std::string& out, std::uint32_t id, const std::string& payload) {
-  put_u32(out, id);
-  put_u64(out, payload.size());
-  put_u64(out, fnv1a64(payload.data(), payload.size()));
-  out.append(payload);
+// Appends section `id`: its id, byte size and FNV-1a 64 checksum, then
+// the payload `encode` writes.
+template <class Encode>
+void put_section(binio::Writer& out, std::uint32_t id, Encode encode) {
+  binio::Writer payload;
+  encode(payload);
+  out.put(id);
+  out.put<std::uint64_t>(payload.bytes().size());
+  out.put(binio::fnv1a64(payload.bytes()));
+  out.put_array(payload.bytes().data(), payload.bytes().size());
+}
+
+// The stats section's histories, in file order.
+template <class Stats>
+auto stats_fields(Stats& s) {
+  return std::array{&s.d_loss, &s.g_adv_loss, &s.l1_loss, &s.grad_norm_d, &s.grad_norm_g,
+                    &s.iter_seconds};
 }
 
 // Parse the iteration out of "ckpt_000000000042.sgc"; nullopt for
@@ -180,35 +130,6 @@ std::optional<std::uint64_t> parse_iteration(const std::string& filename) {
     iter = iter * 10 + static_cast<std::uint64_t>(c - '0');
   }
   return iter;
-}
-
-// Durably write `contents` to `path` via tmp + fsync + rename; on POSIX
-// also fsync the parent directory so the rename itself is durable.
-void atomic_write_file(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-#ifndef _WIN32
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  SG_CHECK(f != nullptr, "cannot open " + tmp + " for writing");
-  const std::size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  const bool flushed = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  const bool closed = std::fclose(f) == 0;
-  SG_CHECK(written == contents.size() && flushed && closed, "write failed for " + tmp);
-  SG_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-           "cannot rename " + tmp + " to " + path);
-  const fs::path parent = fs::path(path).parent_path();
-  const int dir_fd = ::open(parent.empty() ? "." : parent.c_str(), O_RDONLY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
-#else
-  std::ofstream out(tmp, std::ios::binary);
-  SG_CHECK(static_cast<bool>(out), "cannot open " + tmp + " for writing");
-  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  out.close();
-  SG_CHECK(static_cast<bool>(out), "write failed for " + tmp);
-  fs::rename(tmp, path);
-#endif
 }
 
 }  // namespace
@@ -243,44 +164,29 @@ std::string write_checkpoint(const std::string& dir, const TrainingSnapshot& sna
   fs::create_directories(dir, ec);
   SG_CHECK(!ec, "cannot create checkpoint dir " + dir + ": " + ec.message());
 
-  std::string out;
-  put_u32(out, kMagic);
-  put_u32(out, kVersion);
-  put_u64(out, snap.iteration);
-  put_u32(out, kSectionCount);
-  {
-    std::string payload;
-    put_tensor_list(payload, snap.gen_params);
-    append_section(out, kSectionGenParams, payload);
-  }
-  {
-    std::string payload;
-    put_tensor_list(payload, snap.disc_params);
-    append_section(out, kSectionDiscParams, payload);
-  }
-  append_section(out, kSectionOptG, encode_adam(snap.opt_g));
-  append_section(out, kSectionOptD, encode_adam(snap.opt_d));
-  {
-    std::string payload;
-    put_u64(payload, snap.rng.state);
-    payload.push_back(snap.rng.has_cached_normal ? '\1' : '\0');
-    put_f64(payload, snap.rng.cached_normal);
-    append_section(out, kSectionRng, payload);
-  }
-  {
-    std::string payload;
-    put_doubles(payload, snap.stats.d_loss);
-    put_doubles(payload, snap.stats.g_adv_loss);
-    put_doubles(payload, snap.stats.l1_loss);
-    put_doubles(payload, snap.stats.grad_norm_d);
-    put_doubles(payload, snap.stats.grad_norm_g);
-    put_doubles(payload, snap.stats.iter_seconds);
-    append_section(out, kSectionStats, payload);
-  }
-  put_u32(out, kFooter);
+  binio::Writer out;
+  out.put(kMagic);
+  out.put(kVersion);
+  out.put(snap.iteration);
+  out.put(kSectionCount);
+  put_section(out, kSectionGenParams,
+              [&](binio::Writer& w) { put_tensor_list(w, snap.gen_params); });
+  put_section(out, kSectionDiscParams,
+              [&](binio::Writer& w) { put_tensor_list(w, snap.disc_params); });
+  put_section(out, kSectionOptG, [&](binio::Writer& w) { put_adam(w, snap.opt_g); });
+  put_section(out, kSectionOptD, [&](binio::Writer& w) { put_adam(w, snap.opt_d); });
+  put_section(out, kSectionRng, [&](binio::Writer& w) {
+    w.put(snap.rng.state);
+    w.put<std::uint8_t>(snap.rng.has_cached_normal ? 1 : 0);
+    w.put(snap.rng.cached_normal);
+  });
+  put_section(out, kSectionStats, [&](binio::Writer& w) {
+    for (const std::vector<double>* xs : stats_fields(snap.stats)) put_doubles(w, *xs);
+  });
+  out.put(kFooter);
 
   const std::string path = (fs::path(dir) / checkpoint_filename(snap.iteration)).string();
-  atomic_write_file(path, out);
+  binio::write_file_atomic(path, std::as_bytes(std::span(out.bytes())));
   writes.inc();
   write_hist.observe(watch.seconds());
 
@@ -295,35 +201,30 @@ std::string write_checkpoint(const std::string& dir, const TrainingSnapshot& sna
 
 TrainingSnapshot read_checkpoint(const std::string& path) {
   SG_PROFILE_SCOPE("checkpoint/read");
-  std::ifstream in(path, std::ios::binary);
-  SG_CHECK(static_cast<bool>(in), "cannot open " + path + " for reading");
-  std::string contents((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  SG_CHECK(!in.bad(), "read failed for " + path);
-
-  Reader r{contents.data(), contents.size()};
-  SG_CHECK(r.get_u32() == kMagic, path + " is not a checkpoint file");
-  const std::uint32_t version = r.get_u32();
+  const binio::Bytes contents = binio::read_file(path);
+  binio::Reader<> r(contents);
+  SG_CHECK(r.get<std::uint32_t>() == kMagic, path + " is not a checkpoint file");
+  const std::uint32_t version = r.get<std::uint32_t>();
   SG_CHECK(version == kVersion,
            path + " has unsupported checkpoint version " + std::to_string(version));
 
   TrainingSnapshot snap;
-  snap.iteration = r.get_u64();
-  const std::uint32_t sections = r.get_u32();
+  snap.iteration = r.get<std::uint64_t>();
+  const std::uint32_t sections = r.get<std::uint32_t>();
   SG_CHECK(sections == kSectionCount, path + " has wrong section count");
 
   std::uint32_t seen_mask = 0;
   for (std::uint32_t s = 0; s < sections; ++s) {
-    const std::uint32_t id = r.get_u32();
-    const std::uint64_t bytes = r.get_u64();
-    const std::uint64_t checksum = r.get_u64();
+    const std::uint32_t id = r.get<std::uint32_t>();
+    const std::uint64_t bytes = r.get<std::uint64_t>();
+    const std::uint64_t checksum = r.get<std::uint64_t>();
     SG_CHECK(id >= kSectionGenParams && id <= kSectionStats, path + " has unknown section id");
     SG_CHECK((seen_mask & (1u << id)) == 0, path + " has duplicate section");
     seen_mask |= 1u << id;
-    SG_CHECK(bytes <= contents.size() - r.pos, path + " is truncated");
-    const char* payload = contents.data() + r.pos;
-    SG_CHECK(fnv1a64(payload, bytes) == checksum,
+    const std::span<const std::uint8_t> payload = r.take(bytes);
+    SG_CHECK(binio::fnv1a64(payload) == checksum,
              path + " failed checksum for section " + std::to_string(id));
-    Reader section{payload, static_cast<std::size_t>(bytes)};
+    binio::Reader<> section(payload);
     switch (id) {
       case kSectionGenParams:
         snap.gen_params = get_tensor_list(section);
@@ -332,33 +233,23 @@ TrainingSnapshot read_checkpoint(const std::string& path) {
         snap.disc_params = get_tensor_list(section);
         break;
       case kSectionOptG:
-        snap.opt_g = decode_adam(section);
+        snap.opt_g = get_adam(section);
         break;
       case kSectionOptD:
-        snap.opt_d = decode_adam(section);
+        snap.opt_d = get_adam(section);
         break;
       case kSectionRng:
-        snap.rng.state = section.get_u64();
-        {
-          char flag = 0;
-          section.get_bytes(&flag, 1);
-          snap.rng.has_cached_normal = flag != '\0';
-        }
-        snap.rng.cached_normal = section.get_f64();
+        snap.rng.state = section.get<std::uint64_t>();
+        snap.rng.has_cached_normal = section.get<std::uint8_t>() != 0;
+        snap.rng.cached_normal = section.get<double>();
         break;
       case kSectionStats:
-        snap.stats.d_loss = get_doubles(section);
-        snap.stats.g_adv_loss = get_doubles(section);
-        snap.stats.l1_loss = get_doubles(section);
-        snap.stats.grad_norm_d = get_doubles(section);
-        snap.stats.grad_norm_g = get_doubles(section);
-        snap.stats.iter_seconds = get_doubles(section);
+        for (std::vector<double>* xs : stats_fields(snap.stats)) *xs = get_doubles(section);
         break;
     }
     section.expect_end();
-    r.pos += static_cast<std::size_t>(bytes);
   }
-  SG_CHECK(r.get_u32() == kFooter, path + " is missing its footer (torn write)");
+  SG_CHECK(r.get<std::uint32_t>() == kFooter, path + " is missing its footer (torn write)");
   r.expect_end();
   return snap;
 }

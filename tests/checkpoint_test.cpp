@@ -1,8 +1,9 @@
 // Crash-safe checkpoint/resume: snapshot format round-trips (params,
 // Adam moments, Rng streams, histories), atomic-write + retention
-// behaviour, corruption fallback, serialize.cpp error paths, and the
-// headline determinism guarantee — interrupt-at-N + resume reproduces an
-// uninterrupted run bitwise.
+// behaviour, corruption fallback, serialize.cpp error paths, the pinned
+// bytes of the SGCP and SGNN formats, and the headline determinism
+// guarantee — interrupt-at-N + resume reproduces an uninterrupted run
+// bitwise.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "nn/optim.h"
 #include "nn/serialize.h"
 #include "train/checkpoint.h"
+#include "util/binio.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -257,6 +259,62 @@ TEST(CheckpointTest, CorruptOrTruncatedSnapshotFallsBackToLastGood) {
   // Everything corrupt => nullopt.
   for (const std::string& path : train::list_checkpoints(dir)) truncate_file(path, 3);
   EXPECT_FALSE(train::load_latest(dir).has_value());
+}
+
+// A snapshot whose every tensor has a zero extent and whose histories
+// are empty: each tensor's data is a zero-byte copy from or to the null
+// data() of its empty storage.
+TEST(CheckpointTest, ZeroExtentTensorsRoundTrip) {
+  const std::string dir = scratch_dir("zero_extent");
+  train::TrainingSnapshot snap;
+  snap.iteration = 3;
+  snap.gen_params = {nn::Tensor({0, 3}), nn::Tensor({2})};
+  snap.disc_params = {nn::Tensor({0})};
+  snap.opt_g = {1, {nn::Tensor({4, 0})}, {nn::Tensor({4, 0})}};
+  const train::TrainingSnapshot back =
+      train::read_checkpoint(train::write_checkpoint(dir, snap, 1));
+  expect_tensors_eq(back.gen_params, snap.gen_params);
+  expect_tensors_eq(back.disc_params, snap.disc_params);
+  expect_tensors_eq(back.opt_g.m, snap.opt_g.m);
+  expect_tensors_eq(back.opt_g.v, snap.opt_g.v);
+  EXPECT_TRUE(back.stats.d_loss.empty());
+}
+
+// --- pinned bytes -------------------------------------------------------
+//
+// Fixed inputs of exactly representable values, encoded and compared with
+// the size and FNV-1a 64 digest the formats had when these cases were
+// recorded. A round trip passes under a format change made on both sides;
+// these fail if any field's width or order changes.
+
+TEST(FormatBytesTest, CheckpointBytesArePinned) {
+  train::TrainingSnapshot snap;
+  snap.iteration = 42;
+  snap.gen_params = {nn::Tensor({2, 3}, {0.5f, -1.0f, 2.0f, 0.25f, 3.0f, -0.125f}),
+                     nn::Tensor({1}, {8.0f})};
+  snap.disc_params = {nn::Tensor::full({2}, 0.75f)};
+  snap.opt_g = {5,
+                {nn::Tensor::full({2, 3}, 0.5f), nn::Tensor::full({1}, 1.5f)},
+                {nn::Tensor::full({2, 3}, 0.25f), nn::Tensor::full({1}, 2.0f)}};
+  snap.rng = {0x0123456789abcdefULL, true, -1.25};
+  snap.stats.d_loss = {0.5, 0.25};
+  snap.stats.g_adv_loss = {1.5};
+  snap.stats.l1_loss = {2.5, 2.25, 2.0};
+  snap.stats.grad_norm_g = {4.0};
+  snap.stats.iter_seconds = {0.125};
+  const binio::Bytes bytes =
+      binio::read_file(train::write_checkpoint(scratch_dir("pinned_sgcp"), snap, 1));
+  EXPECT_EQ(bytes.size(), 537u);
+  EXPECT_EQ(binio::fnv1a64(bytes), 0x78e1cea509525223ULL);
+}
+
+TEST(FormatBytesTest, ParameterFileBytesArePinned) {
+  const std::string path = scratch_dir("pinned_sgnn") + "/params.sgnn";
+  nn::save_parameters(path, {nn::Var::leaf(nn::Tensor({2, 2}, {1.0f, 2.0f, 3.0f, 4.0f})),
+                             nn::Var::leaf(nn::Tensor({3}, {-0.5f, 0.5f, 1.5f}))});
+  const binio::Bytes bytes = binio::read_file(path);
+  EXPECT_EQ(bytes.size(), 80u);
+  EXPECT_EQ(binio::fnv1a64(bytes), 0x74cff06385b1f799ULL);
 }
 
 // --- the determinism guarantee ----------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -8,6 +9,7 @@
 
 #include "eval/protocol.h"
 #include "eval/report.h"
+#include "util/binio.h"
 #include "util/error.h"
 
 namespace spectra::eval {
@@ -94,6 +96,19 @@ TEST(EvalTest, CityTensorRoundTrip) {
   EXPECT_FALSE(load_city_tensor("/nonexistent.sgt").has_value());
 }
 
+// A fixed city of exactly representable values, compared with the size
+// and FNV-1a 64 digest the .sgt format had when this case was recorded:
+// fails if any header field's width or order changes.
+TEST(EvalTest, CityTensorBytesArePinned) {
+  geo::CityTensor t(2, 2, 3);
+  for (long i = 0; i < t.size(); ++i) t[i] = 0.25 * static_cast<double>(i) - 1.0;
+  const std::string path = testing::TempDir() + "/sg_pinned.sgt";
+  save_city_tensor(path, t);
+  const binio::Bytes bytes = binio::read_file(path);
+  EXPECT_EQ(bytes.size(), 124u);
+  EXPECT_EQ(binio::fnv1a64(bytes), 0xcba6ee45f41f9aacULL);
+}
+
 // Writes an .sgt file with the given header dims and `payload_doubles`
 // doubles of payload (plus `extra_bytes` trailing bytes).
 std::string write_sgt(const std::string& name, std::int64_t d0, std::int64_t d1, std::int64_t d2,
@@ -144,9 +159,9 @@ TEST(EvalTest, LoadCityTensorRejectsTrailingBytes) {
 TEST(EvalTest, CityTensorRejectsBadExtentsBeforeAllocating) {
   EXPECT_THROW(geo::CityTensor(-1, 2, 2), spectra::Error);
   EXPECT_THROW(geo::CityTensor(1L << 40, 1L << 40, 1), spectra::Error);
-  EXPECT_EQ(geo::checked_element_count(0, 5, 7), 0);
-  EXPECT_EQ(geo::checked_element_count(3, 4, 5), 60);
-  EXPECT_FALSE(geo::checked_element_count(1L << 62, 4, 1).has_value());
+  EXPECT_EQ(binio::checked_count(std::array<long, 3>{0, 5, 7}), 0);
+  EXPECT_EQ(binio::checked_count(std::array<long, 3>{3, 4, 5}), 60);
+  EXPECT_FALSE(binio::checked_count(std::array<long, 3>{1L << 62, 4, 1}).has_value());
 }
 
 TEST(EvalTest, GenerateForFoldUsesCache) {

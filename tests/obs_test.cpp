@@ -774,6 +774,24 @@ TEST(RunManifestTest, ManifestCarriesProvenanceAndExtras) {
   EXPECT_NE(json.find("\"obs_test_str\":\"hello \\\"quoted\\\"\""), std::string::npos);
 }
 
+// JSON strings may not hold raw control characters (json.load rejects
+// them): a run name or metric name with a tab, a newline or \x01 comes
+// out escaped as \u00XX.
+TEST(RunManifestTest, ControlCharactersInNamesAreEscaped) {
+  const std::string run_name = "tab\there\nnext\x01";
+  Registry::instance().counter("obs_test.ctl\t\n\x01").inc();
+  const std::string manifest = run_manifest_json(run_name);
+  const std::string snapshot = Registry::instance().json_snapshot();
+  for (const std::string& json : {manifest, snapshot}) {
+    EXPECT_TRUE(std::none_of(json.begin(), json.end(),
+                             [](char c) { return static_cast<unsigned char>(c) < 0x20; }))
+        << json;
+    EXPECT_TRUE(json_well_formed(json)) << json;
+  }
+  EXPECT_NE(manifest.find("\"name\":\"tab\\u0009here\\u000anext\\u0001\""), std::string::npos);
+  EXPECT_NE(snapshot.find("\"obs_test.ctl\\u0009\\u000a\\u0001\":"), std::string::npos);
+}
+
 TEST(RunManifestTest, WriteRunManifestWritesFile) {
   const std::string path = testing::TempDir() + "/sg_run_manifest.json";
   std::remove(path.c_str());

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -21,6 +22,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/weights_registry.h"
+#include "util/binio.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -355,6 +357,60 @@ TEST(ServeProtocolTest, MalformedPayloadsThrowTyped) {
 
 TEST(ServeProtocolTest, OverflowingContextShapeThrowsTyped) {
   EXPECT_THROW(decode_request(overflowing_request_payload()), ProtocolError);
+}
+
+// Fixed frames of exactly representable values, compared with the size
+// and FNV-1a 64 digest each payload had when this case was recorded:
+// fails if any field's width or order changes.
+TEST(ServeProtocolTest, FrameBytesArePinned) {
+  WireRequest request;
+  request.id = 0x0102030405060708ULL;
+  request.seed = 99;
+  request.steps = 24;
+  request.channels = 1;
+  request.height = 2;
+  request.width = 2;
+  request.aggregation = geo::OverlapAggregation::kMedian;
+  request.context = {0.5, -1.0, 2.0, 0.25};
+  const std::vector<std::uint8_t> sgrq = encode_request(request);
+  EXPECT_EQ(sgrq.size(), 73u);
+  EXPECT_EQ(binio::fnv1a64(sgrq), 0x0bd4a9cf6d97d7ebULL);
+
+  std::FILE* stream = std::tmpfile();
+  ASSERT_NE(stream, nullptr);
+  FrameWriter writer(stream);
+  writer.write_row(7, 3, {1.5, -2.0, 0.0});
+  writer.write_done(7, RequestState::kFailed, 12, "bad shape");
+  writer.write_error("truncated");
+  std::rewind(stream);
+  const std::pair<std::size_t, std::uint64_t> expected[] = {
+      {44, 0xf6d6a16552801b54ULL},  // SGRW
+      {30, 0xc41db289160a50faULL},  // SGDN
+      {17, 0x42839756ef04ff77ULL},  // SGER
+  };
+  std::vector<std::uint8_t> payload;
+  for (const auto& [size, digest] : expected) {
+    ASSERT_TRUE(read_frame(stream, payload));
+    EXPECT_EQ(payload.size(), size);
+    EXPECT_EQ(binio::fnv1a64(payload), digest);
+  }
+  EXPECT_FALSE(read_frame(stream, payload));
+  std::fclose(stream);
+}
+
+// A row of zero values decodes without copying into the null data() of
+// an empty vector.
+TEST(ServeProtocolTest, EmptyRowDecodes) {
+  std::FILE* stream = std::tmpfile();
+  ASSERT_NE(stream, nullptr);
+  FrameWriter(stream).write_row(5, 0, {});
+  std::rewind(stream);
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(read_frame(stream, payload));
+  const WireRow row = decode_row(payload);
+  EXPECT_EQ(row.id, 5u);
+  EXPECT_TRUE(row.values.empty());
+  std::fclose(stream);
 }
 
 // --- daemon loop ------------------------------------------------------------
