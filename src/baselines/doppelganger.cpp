@@ -34,12 +34,19 @@ Var DoppelGanger::condition(const Var& pixel_context, const Var& noise) const {
 }
 
 Var DoppelGanger::series_forward(const Var& cond, long steps) const {
+  const long batch = cond.value().dim(0);
+  if (nn::InferenceGuard::active()) {
+    // [B, steps, 1] -> [B, steps], off the graph like TimeGenerator.
+    return Var::constant(
+        gen_->infer(cond.value(), core::clock_table(steps, config_.steps_per_day,
+                                                    /*include_week=*/false))
+            .reshaped({batch, steps}));
+  }
   // [steps][B,1] -> [B, steps].
   const std::vector<Var> outputs =
       gen_->forward(core::time_encoded_inputs(cond, steps, config_.steps_per_day,
                                               /*include_week=*/false));
-  return nn::reshape(nn::transpose01(nn::stack0(outputs)),
-                     {cond.value().dim(0), steps});
+  return nn::reshape(nn::transpose01(nn::stack0(outputs)), {batch, steps});
 }
 
 Var DoppelGanger::amplitude_forward(const Var& pixel_context, const Var& amp_noise) const {

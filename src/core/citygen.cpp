@@ -88,11 +88,14 @@ void SpectraGan::generate_city_streamed(const geo::ContextTensor& context, long 
     const long n = static_cast<long>(end - begin);
 
     nn::Tensor ctx_batch({n, config_.context_channels, spec.context_h, spec.context_w});
-    for (long b = 0; b < n; ++b) {
-      const std::vector<float> patch =
-          geo::extract_context_patch(context, windows[begin + static_cast<std::size_t>(b)], spec);
-      std::copy(patch.begin(), patch.end(),
-                ctx_batch.data() + b * static_cast<long>(patch.size()));
+    {
+      SG_PROFILE_SCOPE("core/extract_patches");
+      for (long b = 0; b < n; ++b) {
+        const std::vector<float> patch = geo::extract_context_patch(
+            context, windows[begin + static_cast<std::size_t>(b)], spec);
+        std::copy(patch.begin(), patch.end(),
+                  ctx_batch.data() + b * static_cast<long>(patch.size()));
+      }
     }
     nn::Tensor noise_batch({n, config_.noise_channels, spec.traffic_h, spec.traffic_w});
     for (long b = 0; b < n; ++b) {
@@ -117,6 +120,7 @@ void SpectraGan::generate_city_streamed(const geo::ContextTensor& context, long 
       for (std::size_t c = lo; c < hi; ++c) chunk_traffic[c] = run_chunk(g0 + c);
     });
 
+    SG_PROFILE_SCOPE("core/sew");
     for (std::size_t c = 0; c < chunk_traffic.size(); ++c) {
       const nn::Tensor& traffic = chunk_traffic[c];
       const std::size_t begin = (g0 + c) * kChunk;

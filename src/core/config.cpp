@@ -1,5 +1,7 @@
 #include "core/config.h"
 
+#include "core/time_generator.h"
+#include "nn/gemm.h"
 #include "util/error.h"
 
 namespace spectra::core {
@@ -14,6 +16,11 @@ void SpectraGanConfig::validate() const {
   SG_CHECK(spectrum_bins >= 2 && spectrum_bins <= full_bins(),
            "spectrum_bins must be in [2, train_steps/2+1]");
   SG_CHECK(lstm_hidden > 0 && cond_dim > 0, "invalid recurrent sizes");
+  // nn::Lstm::infer splits the recurrent generators' input projection at
+  // cond_dim; that equals the training graph's one GEMM only while the
+  // input fits a single GEMM k block.
+  SG_CHECK(cond_dim + kTimeFeatures <= nn::gemm::kKC,
+           "cond_dim + time features must not exceed the GEMM k block (nn::gemm::kKC)");
   SG_CHECK(mask_quantile > 0.0f && mask_quantile < 1.0f, "mask_quantile must be in (0,1)");
   SG_CHECK(lambda_l1 >= 0.0f, "lambda_l1 must be non-negative");
   SG_CHECK(use_spectrum_generator || use_time_generator,

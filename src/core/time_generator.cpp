@@ -1,28 +1,42 @@
 #include "core/time_generator.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
 
 namespace spectra::core {
 
-std::vector<nn::Var> time_encoded_inputs(const nn::Var& cond, long steps, long steps_per_day,
-                                         bool include_week) {
+nn::Tensor clock_table(long steps, long steps_per_day, bool include_week) {
   SG_CHECK(steps > 0 && steps_per_day > 0, "invalid time encoding geometry");
-  const long batch = cond.value().dim(0);
-  std::vector<nn::Var> inputs;
-  inputs.reserve(static_cast<std::size_t>(steps));
+  nn::Tensor table({steps, kTimeFeatures});
   for (long t = 0; t < steps; ++t) {
     const double day_phase = 2.0 * M_PI * static_cast<double>(t % steps_per_day) /
                              static_cast<double>(steps_per_day);
     const double week_phase = 2.0 * M_PI * static_cast<double>(t % (7 * steps_per_day)) /
                               static_cast<double>(7 * steps_per_day);
+    float* row = table.data() + t * kTimeFeatures;
+    row[0] = static_cast<float>(std::sin(day_phase));
+    row[1] = static_cast<float>(std::cos(day_phase));
+    // Zero features stay in the input: skipping their +0·w terms could
+    // flip the sign of a zero sum.
+    row[2] = include_week ? static_cast<float>(std::sin(week_phase)) : 0.0f;
+    row[3] = include_week ? static_cast<float>(std::cos(week_phase)) : 0.0f;
+  }
+  return table;
+}
+
+std::vector<nn::Var> time_encoded_inputs(const nn::Var& cond, long steps, long steps_per_day,
+                                         bool include_week) {
+  const nn::Tensor table = clock_table(steps, steps_per_day, include_week);
+  const long batch = cond.value().dim(0);
+  std::vector<nn::Var> inputs;
+  inputs.reserve(static_cast<std::size_t>(steps));
+  for (long t = 0; t < steps; ++t) {
+    const float* row = table.data() + t * kTimeFeatures;
     nn::Tensor clock({batch, kTimeFeatures});
     for (long b = 0; b < batch; ++b) {
-      clock[b * kTimeFeatures + 0] = static_cast<float>(std::sin(day_phase));
-      clock[b * kTimeFeatures + 1] = static_cast<float>(std::cos(day_phase));
-      clock[b * kTimeFeatures + 2] = include_week ? static_cast<float>(std::sin(week_phase)) : 0.0f;
-      clock[b * kTimeFeatures + 3] = include_week ? static_cast<float>(std::cos(week_phase)) : 0.0f;
+      std::copy(row, row + kTimeFeatures, clock.data() + b * kTimeFeatures);
     }
     inputs.push_back(nn::concat_axis({cond, nn::Var::constant(std::move(clock))}, 1));
   }
@@ -45,6 +59,9 @@ nn::Var TimeGenerator::forward(const nn::Var& hidden, const nn::Var& noise, long
   const long batch = hidden.value().dim(0);
   nn::Var flat = nn::reshape(nn::concat_axis({hidden, noise}, /*axis=*/1), {batch, cond_input_});
   nn::Var cond = nn::vtanh(condition_.forward(flat));
+  if (nn::InferenceGuard::active()) {
+    return nn::Var::constant(lstm_.infer(cond.value(), clock_table(steps, steps_per_day_)));
+  }
   const std::vector<nn::Var> outputs =
       lstm_.forward(time_encoded_inputs(cond, steps, steps_per_day_));
   // [steps, B, P] -> [B, steps, P].

@@ -11,27 +11,34 @@
 
 namespace spectra::core {
 
-// Per-step inputs for conditioned recurrent generation: each step's input
-// is [cond, sin/cos(2 pi t / day), sin/cos(2 pi t / week)]. The explicit
-// clock mirrors DoppelGANger's batched-step conditioning and lets the
-// recurrent generators lock onto circadian phase in few iterations;
-// periodicity *content* still has to be learned.
+// Number of time-encoding features appended per step.
+inline constexpr long kTimeFeatures = 4;
+
+// The clock of conditioned recurrent generation as a [steps,
+// kTimeFeatures] table: row t is [sin/cos(2 pi t / day), sin/cos(2 pi t /
+// week)]. The explicit clock mirrors DoppelGANger's batched-step
+// conditioning and lets the recurrent generators lock onto circadian
+// phase in few iterations; periodicity *content* still has to be learned.
 // `include_week=false` zeroes the weekly phase features: used by the
 // RNN-only baselines, whose inability to track long-horizon structure is
 // precisely the weakness SpectraGAN's spectrum branch addresses (§2.1.1);
 // handing them the weekly clock would erase the effect under study.
+nn::Tensor clock_table(long steps, long steps_per_day, bool include_week = true);
+
+// Per-step graph inputs for training: step t's input is [cond, clock row
+// t]. Inference feeds cond and the clock table to nn::Lstm::infer
+// instead, which reads the same values.
 std::vector<nn::Var> time_encoded_inputs(const nn::Var& cond, long steps, long steps_per_day,
                                          bool include_week = true);
-
-// Number of time-encoding features appended per step.
-inline constexpr long kTimeFeatures = 4;
 
 class TimeGenerator : public nn::Module {
  public:
   TimeGenerator(const SpectraGanConfig& config, Rng& rng);
 
   // hidden: [B, C_h, Ht, Wt]; noise: [B, Z, Ht, Wt].
-  // Returns the residual traffic [B, steps, P] with P = Ht*Wt.
+  // Returns the residual traffic [B, steps, P] with P = Ht*Wt. Under
+  // nn::InferenceGuard the recurrence runs off the graph (Lstm::infer),
+  // with the same output bits.
   nn::Var forward(const nn::Var& hidden, const nn::Var& noise, long steps) const;
 
  private:

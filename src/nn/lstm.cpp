@@ -1,5 +1,9 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
+
+#include "nn/activations.h"
+#include "nn/gemm.h"
 #include "nn/init.h"
 #include "obs/profile.h"
 #include "util/error.h"
@@ -85,20 +89,124 @@ std::vector<Var> Lstm::forward(const std::vector<Var>& inputs) const {
   return outputs;
 }
 
-std::vector<Var> Lstm::forward_repeat(const Var& input, long steps) const {
+Tensor Lstm::infer(const Tensor& row_input, const Tensor& step_input) const {
   SG_PROFILE_SCOPE("nn/lstm_forward");
-  SG_CHECK(steps > 0, "forward_repeat requires steps > 0");
-  // The input is static across steps, so one projection serves all of
-  // them.
-  Var x_proj = cell_.project_input(input);
-  LstmState state = cell_.initial_state(input.value().dim(0));
-  std::vector<Var> outputs;
-  outputs.reserve(static_cast<std::size_t>(steps));
-  for (long t = 0; t < steps; ++t) {
-    state = cell_.step_projected(x_proj, state);
-    outputs.push_back(apply_activation(head_.forward(state.h), output_activation_));
+  SG_CHECK(row_input.rank() == 2 && step_input.rank() == 2,
+           "Lstm::infer expects [B, D] row inputs and [T, F] step inputs");
+  const long batch = row_input.dim(0);
+  const long d = row_input.dim(1);
+  const long steps = step_input.dim(0);
+  const long f = step_input.dim(1);
+  SG_CHECK(batch > 0 && steps > 0, "Lstm::infer requires a positive batch and step count");
+  SG_CHECK(d + f == cell_.input_size(), "Lstm::infer input widths must sum to the input size");
+  // forward() projects every step with one [T·B, D+F] GEMM, which reduces
+  // each element p-ascending from +0 only while D+F fits one k block.
+  SG_CHECK(d + f <= gemm::kKC, "Lstm::infer requires input size <= gemm::kKC");
+  const long hidden = cell_.hidden_size();
+  const long gates = 4 * hidden;
+  const long out = head_.out_features();
+  const long hb = hidden * batch;
+  if (obs::profile_enabled()) {
+    // The gate math only, at lstm_step's nominal cost; the three GEMMs
+    // account for themselves on nested nn/gemm nodes.
+    const double bht = static_cast<double>(hb) * static_cast<double>(steps);
+    obs::profile_add_work(40.0 * bht, 10.0 * bht * 4.0);
   }
-  return outputs;
+  const std::vector<Var> cell_params = cell_.parameters();  // weight_x, weight_h, bias
+  const std::vector<Var> head_params = head_.parameters();  // weight, bias
+  const float* wx = cell_params[0].value().data();
+  const float* wh = cell_params[1].value().data();
+  const float* bias = cell_params[2].value().data();
+  const float* w_step = wx + d * gates;  // rows D..D+F-1 of Wx
+
+  // base = row_input · Wx[0:D]: the first D terms of every projected
+  // element, summed in forward()'s p order.
+  std::vector<float> base(static_cast<std::size_t>(batch * gates));
+  gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kNo, batch, gates, d, row_input.data(), d, wx, gates,
+              base.data(), gates, /*accumulate=*/false);
+
+  // State and gates are gate-major ([H, B], [4H, B]): each activation
+  // runs once per step over a whole gate block. h_t of every row is
+  // kept for the head as [B, T, H].
+  const auto n_hb = static_cast<std::size_t>(hb);
+  std::vector<float> x_buf(static_cast<std::size_t>(batch * gates));
+  std::vector<float> pre_buf(static_cast<std::size_t>(batch * gates));
+  std::vector<float> z_buf(4 * n_hb);
+  std::vector<float> h_buf(n_hb, 0.0f);
+  std::vector<float> c_buf(n_hb, 0.0f);
+  std::vector<float> tanh_c_buf(n_hb);
+  std::vector<float> hs_buf(n_hb * static_cast<std::size_t>(steps));
+  float* x = x_buf.data();
+  float* pre = pre_buf.data();
+  float* zi = z_buf.data();  // blocks i | f | g | o
+  float* zf = zi + hb;
+  float* zg = zi + 2 * hb;
+  float* zo = zi + 3 * hb;
+  float* h = h_buf.data();
+  float* c = c_buf.data();
+  float* tanh_c = tanh_c_buf.data();
+  float* hs = hs_buf.data();
+  for (long t = 0; t < steps; ++t) {
+    const float* clock = step_input.data() + t * f;
+    // pre = h·Wh, reading the [H, B] state as the transposed A operand.
+    gemm::sgemm(gemm::Trans::kTrans, gemm::Trans::kNo, batch, gates, hidden, h, batch, wh, gates,
+                pre, gates, /*accumulate=*/false);
+    // x_t continues base's reduction with the step's F terms, p-ascending
+    // per element exactly as forward()'s projection GEMM does.
+    std::copy(base.begin(), base.end(), x);
+    for (long p = 0; p < f; ++p) {
+      const float a = clock[p];
+      const float* w_row = w_step + p * gates;
+      for (long b = 0; b < batch; ++b) {
+        float* x_row = x + b * gates;
+        for (long j = 0; j < gates; ++j) x_row[j] += a * w_row[j];
+      }
+    }
+    // z = (x_t + pre) + b, written gate-major.
+    for (long b = 0; b < batch; ++b) {
+      const float* x_row = x + b * gates;
+      const float* pre_row = pre + b * gates;
+      for (long j = 0; j < gates; ++j) zi[j * batch + b] = (x_row[j] + pre_row[j]) + bias[j];
+    }
+    act::sigmoid(zi, zi, 2 * n_hb);
+    act::tanh(zg, zg, n_hb);
+    act::sigmoid(zo, zo, n_hb);
+    for (long k = 0; k < hb; ++k) c[k] = (zf[k] * c[k]) + (zi[k] * zg[k]);
+    act::tanh(c, tanh_c, n_hb);
+    for (long j = 0; j < hidden; ++j) {
+      for (long b = 0; b < batch; ++b) {
+        const long k = j * batch + b;
+        h[k] = zo[k] * tanh_c[k];
+        hs[(b * steps + t) * hidden + j] = h[k];
+      }
+    }
+  }
+
+  // The head over every (row, step) at once: row (b, t) of this GEMM is
+  // forward()'s step-t head row b, then the same bias add and activation.
+  const float* bias_out = head_params[1].value().data();
+  Tensor y({batch, steps, out});
+  gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kNo, batch * steps, out, hidden, hs, hidden,
+              head_params[0].value().data(), out, y.data(), out, /*accumulate=*/false);
+  for (long r = 0; r < batch * steps; ++r) {
+    float* row = y.data() + r * out;
+    for (long j = 0; j < out; ++j) row[j] = row[j] + bias_out[j];
+  }
+  const auto n_out = static_cast<std::size_t>(y.numel());
+  switch (output_activation_) {
+    case Activation::kNone:
+      break;
+    case Activation::kSigmoid:
+      act::sigmoid(y.data(), y.data(), n_out);
+      break;
+    case Activation::kTanh:
+      act::tanh(y.data(), y.data(), n_out);
+      break;
+    case Activation::kRelu:
+    case Activation::kLeakyRelu:
+      return apply_activation(Var::constant(std::move(y)), output_activation_).value();
+  }
+  return y;
 }
 
 ConvLSTMCell::ConvLSTMCell(long input_channels, long hidden_channels, long kernel, Rng& rng)

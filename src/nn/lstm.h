@@ -61,9 +61,13 @@ class Lstm : public Module {
   // Run over `inputs` (each [B, input]); returns per-step outputs.
   std::vector<Var> forward(const std::vector<Var>& inputs) const;
 
-  // Run `steps` iterations feeding the same input every step (used when
-  // conditioning on a static context embedding).
-  std::vector<Var> forward_repeat(const Var& input, long steps) const;
+  // Inference-only recurrence for clock-conditioned generation: row b's
+  // input at step t is [row_input[b], step_input[t]], with row_input
+  // [B, D], step_input [T, F] shared by every row and D + F the input
+  // size. Returns [B, T, output], bitwise equal to forward() over those
+  // inputs followed by stack0/transpose01 (DESIGN §6c). Builds no graph
+  // and allocates nothing per step. Requires D + F <= gemm::kKC.
+  Tensor infer(const Tensor& row_input, const Tensor& step_input) const;
 
   const LSTMCell& cell() const { return cell_; }
   const Linear& head() const { return head_; }

@@ -54,6 +54,9 @@ struct ThreadTree {
       SG_ACQUIRED_BEFORE(lock_order::fft_cache);
   ProfileNode root SG_GUARDED_BY(mutex);
   ProfileNode* current SG_GUARDED_BY(mutex) = &root;
+  // Subtrees profile_reset detached from root. Open scopes may still
+  // point into them, so they stay allocated, and reachable from here.
+  std::vector<ProfileNode*> detached SG_GUARDED_BY(mutex);
 };
 
 struct ProfileState {
@@ -325,8 +328,10 @@ void profile_reset() {
     MutexLock registry_lock(s.mutex);
     for (ThreadTree* tree : s.trees) {
       MutexLock lock(tree->mutex);
-      // Children stay allocated (scopes may hold pointers); zero the stats
-      // and detach them from the tree.
+      // Children stay allocated (scopes may hold pointers); detach them
+      // from the tree but keep them reachable.
+      tree->detached.insert(tree->detached.end(), tree->root.children.begin(),
+                            tree->root.children.end());
       tree->root.children.clear();
       tree->current = &tree->root;
     }

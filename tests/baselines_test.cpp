@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "baselines/conv3d_lstm.h"
 #include "baselines/doppelganger.h"
 #include "baselines/fdas.h"
 #include "baselines/model_api.h"
 #include "baselines/pix2pix.h"
+#include "util/binio.h"
 #include "util/error.h"
 
 namespace spectra::baselines {
@@ -121,6 +125,24 @@ TEST(DoppelGangerTest, TrainsAndGenerates) {
   const geo::CityTensor out = model.generate(dataset.cities[1], 30, rng);
   EXPECT_EQ(out.steps(), 30);
   for (double v : out.values()) EXPECT_GE(v, 0.0);
+}
+
+// Golden digest of a small DoppelGANger city: generation runs the
+// clock-conditioned recurrence off the training graph (nn::Lstm::infer),
+// and its output bits must stay those the graph path produced when this
+// case was recorded (FNV-1a 64 of the city's doubles). The city spans
+// three 128-pixel generation chunks, the last one partial.
+TEST(DoppelGangerTest, GeneratedCityMatchesGoldenDigest) {
+  data::CountryDataset dataset = tiny_dataset();
+  DoppelGanger model(tiny_config());
+  Rng rng(7);
+  model.fit(dataset, {0}, 48, rng);
+  const geo::CityTensor out = model.generate(dataset.cities[1], 48, rng);
+  const std::vector<double>& values = out.values();
+  ASSERT_EQ(values.size(), 15504u);
+  const std::span<const std::uint8_t> bytes(reinterpret_cast<const std::uint8_t*>(values.data()),
+                                            values.size() * sizeof(double));
+  EXPECT_EQ(binio::fnv1a64(bytes), 0x8d153c20d65b73b6ULL);
 }
 
 TEST(Conv3dLstmTest, TrainsAndGenerates) {

@@ -284,26 +284,6 @@ TEST(GemmTest, BatchedLstmForwardMatchesPerStepReference) {
   }
 }
 
-TEST(GemmTest, ForwardRepeatSharesOneProjection) {
-  Rng rng(43);
-  Rng model_rng(79);
-  Lstm lstm(5, 4, 3, model_rng, Activation::kTanh);
-  Var input = Var::leaf(init::gaussian({2, 5}, 1.0f, rng));
-  const std::vector<Var> outputs = lstm.forward_repeat(input, 6);
-  ASSERT_EQ(outputs.size(), 6u);
-  // Reference via the single-step API.
-  LstmState state = lstm.cell().initial_state(2);
-  for (std::size_t t = 0; t < outputs.size(); ++t) {
-    state = lstm.cell().step(input, state);
-    const Tensor expected = vtanh(lstm.head().forward(state.h)).value();
-    for (long i = 0; i < expected.numel(); ++i) {
-      ASSERT_EQ(outputs[t].value()[i], expected[i]) << "step " << t << " flat index " << i;
-    }
-  }
-  sum(outputs.back()).backward();
-  EXPECT_GT(input.grad().numel(), 0);
-}
-
 // --- steady-state allocation guarantee ---
 
 TEST(GemmTest, WorkspaceArenaDoesNotGrowInSteadyState) {

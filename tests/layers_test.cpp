@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "core/config.h"
+#include "core/time_generator.h"
+#include "nn/gemm.h"
 #include "nn/init.h"
 #include "nn/layers.h"
 #include "nn/lstm.h"
@@ -97,22 +102,6 @@ TEST(LstmCellTest, ForgetBiasInitializedToOne) {
   ASSERT_EQ(bias.numel(), 16);
   for (long i = 4; i < 8; ++i) EXPECT_FLOAT_EQ(bias[i], 1.0f);
   EXPECT_FLOAT_EQ(bias[0], 0.0f);
-}
-
-TEST(LstmTest, ForwardRepeatProducesSteps) {
-  Rng rng(9);
-  Lstm lstm(4, 6, 2, rng);
-  Var input = Var::constant(init::gaussian({3, 4}, 1.0f, rng));
-  const std::vector<Var> outputs = lstm.forward_repeat(input, 10);
-  EXPECT_EQ(outputs.size(), 10u);
-  EXPECT_EQ(outputs[0].value().dim(1), 2);
-  // The recurrent state evolves: consecutive outputs differ.
-  bool any_diff = false;
-  for (long i = 0; i < outputs[0].value().numel(); ++i) {
-    if (std::fabs(static_cast<double>(outputs[0].value()[i] - outputs[9].value()[i])) > 1e-6)
-      any_diff = true;
-  }
-  EXPECT_TRUE(any_diff);
 }
 
 TEST(ConvLstmTest, StepPreservesGeometry) {
@@ -254,10 +243,12 @@ LstmState unfused_step(const LSTMCell& cell, const Var& x_proj, const LstmState&
   return reference::lstm_step_unfused(x_proj, state, params[1], params[2]);
 }
 
+// Equal bit patterns, so a zero of the wrong sign counts as a difference.
 void expect_bitwise(const Tensor& a, const Tensor& b, const char* what) {
-  ASSERT_EQ(a.numel(), b.numel()) << what;
+  ASSERT_EQ(a.shape(), b.shape()) << what;
   for (long i = 0; i < a.numel(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << what << " diverges at flat index " << i;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]), std::bit_cast<std::uint32_t>(b[i]))
+        << what << " diverges at flat index " << i << ": " << a[i] << " vs " << b[i];
   }
 }
 
@@ -383,6 +374,75 @@ TEST(LstmFusedTest, UnusedFinalStateHMatchesUnfused) {
   for (std::size_t i = 0; i < unfused.size(); ++i) {
     expect_bitwise(unfused[i], fused[i], "c-only-loss grad");
   }
+}
+
+// --- inference recurrence vs the training graph ---
+// Lstm::infer reorders independent work only (split input projection,
+// gate-major state, one head GEMM), so every output bit must equal
+// forward() over the concatenated [cond, clock] inputs followed by
+// stack0/transpose01, the graph path training runs.
+
+Tensor graph_sequence(const Lstm& lstm, const Tensor& cond, long steps, bool week) {
+  const std::vector<Var> outputs = lstm.forward(
+      core::time_encoded_inputs(Var::constant(cond), steps, /*steps_per_day=*/24, week));
+  return transpose01(stack0(outputs)).value();
+}
+
+TEST(LstmInferTest, MatchesGraphSequenceBitwise) {
+  // Every hidden x batch x steps shape. The four (weekly clock, head)
+  // pairs take turns, shifted by one per (hidden, batch) row, so every
+  // pair meets every step count and every batch size.
+  const long kCond = 7;
+  int shape = 0;
+  for (const long hidden : {5L, 24L}) {
+    for (const long batch : {1L, 5L, 16L, 17L}) {
+      for (const long steps : {1L, 24L, 168L, 504L}) {
+        const int pair = (shape + shape / 4) % 4;
+        const bool week = pair % 2 == 0;
+        const Activation head = pair / 2 == 0 ? Activation::kNone : Activation::kSigmoid;
+        ++shape;
+        SCOPED_TRACE(testing::Message() << "H " << hidden << " B " << batch << " T " << steps
+                                        << " week " << week << " sigmoid head "
+                                        << (head == Activation::kSigmoid));
+        Rng model_rng(static_cast<std::uint64_t>(60 + shape));
+        const Lstm lstm(kCond + core::kTimeFeatures, hidden, 3, model_rng, head);
+        Rng data_rng(static_cast<std::uint64_t>(batch * 1000 + steps));
+        const Tensor cond = init::gaussian({batch, kCond}, 1.0f, data_rng);
+        const Tensor got = lstm.infer(cond, core::clock_table(steps, 24, week));
+        expect_bitwise(graph_sequence(lstm, cond, steps, week), got, "infer");
+      }
+    }
+  }
+}
+
+TEST(LstmInferTest, WidestConditioningStillMatches) {
+  // cond_dim = kKC - kTimeFeatures: the projection still fits one GEMM
+  // k block, the largest input SpectraGanConfig::validate accepts.
+  const long cond_dim = gemm::kKC - core::kTimeFeatures;
+  Rng model_rng(71);
+  const Lstm lstm(cond_dim + core::kTimeFeatures, 5, 4, model_rng, Activation::kNone);
+  Rng data_rng(72);
+  const Tensor cond = init::gaussian({5, cond_dim}, 1.0f, data_rng);
+  expect_bitwise(graph_sequence(lstm, cond, 24, true),
+                 lstm.infer(cond, core::clock_table(24, 24, true)), "infer");
+}
+
+TEST(LstmInferTest, RejectsInputsBeyondOneKBlockAndBadWidths) {
+  Rng model_rng(73);
+  const long cond_dim = gemm::kKC - core::kTimeFeatures + 1;
+  const Lstm wide(cond_dim + core::kTimeFeatures, 5, 4, model_rng, Activation::kNone);
+  EXPECT_THROW(wide.infer(Tensor({2, cond_dim}), core::clock_table(4, 24)), spectra::Error);
+  const Lstm narrow(7 + core::kTimeFeatures, 5, 4, model_rng, Activation::kNone);
+  EXPECT_THROW(narrow.infer(Tensor({2, 6}), core::clock_table(4, 24)), spectra::Error);
+  EXPECT_NO_THROW(narrow.infer(Tensor({2, 7}), core::clock_table(4, 24)));
+}
+
+TEST(LstmInferTest, ConfigRejectsConditioningBeyondOneKBlock) {
+  core::SpectraGanConfig config;
+  config.cond_dim = gemm::kKC - core::kTimeFeatures;
+  EXPECT_NO_THROW(config.validate());
+  config.cond_dim = gemm::kKC - core::kTimeFeatures + 1;
+  EXPECT_THROW(config.validate(), spectra::Error);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/config.h"
 #include "core/fourier_bridge.h"
 #include "core/losses.h"
+#include "core/time_generator.h"
 #include "core/trainer.h"
 #include "dsp/fft.h"
 #include "geo/patching.h"
@@ -158,6 +159,22 @@ TEST(ParallelDeterminismTest, BatchedLstmBitwiseIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < serial.param_grads.size(); ++i) {
     expect_bitwise_equal(serial.param_grads[i], parallel.param_grads[i], "lstm param grad");
   }
+}
+
+// The inference recurrence (Lstm::infer): its three GEMMs (the row
+// projection, the per-step recurrence and the head over all B·T rows)
+// split only M across threads, so the sequence is thread-count free.
+nn::Tensor run_lstm_infer(std::size_t threads) {
+  ThreadsOverride guard(threads);
+  Rng model_rng(93);
+  const long cond_dim = 24;
+  nn::Lstm lstm(cond_dim + core::kTimeFeatures, 24, 16, model_rng, nn::Activation::kNone);
+  Rng rng(94);
+  return lstm.infer(nn::init::gaussian({17, cond_dim}, 1.0f, rng), core::clock_table(168, 24));
+}
+
+TEST(ParallelDeterminismTest, LstmInferBitwiseIdenticalAcrossThreadCounts) {
+  expect_bitwise_equal(run_lstm_infer(1), run_lstm_infer(8), "lstm infer output");
 }
 
 // Scoped override of the GEMM SIMD dispatch level.
