@@ -1,13 +1,15 @@
-// Kernel-level throughput bench (DESIGN.md §6c): GEMM / conv2d / LSTM
-// at the shapes the SpectraGAN trainer actually runs, each measured
-// against the pre-GEMM direct kernel so the speedup is computed within
-// one run on one machine. Emits BENCH_KERNELS.json (override with
+// Kernel-level throughput bench (DESIGN.md §6c): GEMM / conv2d / LSTM /
+// FFT at the shapes the SpectraGAN trainer and generator actually run,
+// each measured against the pre-GEMM direct kernel or the scalar
+// reference (tests/reference) so the speedup is computed within one run
+// on one machine. Emits BENCH_KERNELS.json (override with
 // SPECTRA_BENCH_OUT) — the seed point of the kernel perf trajectory; CI
 // re-runs this at reduced iterations and fails if any kernel's speedup
 // regresses >20% against the committed baseline
 // (scripts/check_bench_kernels.py).
 //
-// Knobs: SPECTRA_BENCH_ITERS (timed iterations per kernel, default 200),
+// Knobs: SPECTRA_BENCH_ITERS (timed samples per kernel, default 200; a
+// sample batches sub-50 µs calls),
 // SPECTRA_THREADS (kernels are measured at 1 thread — the single-thread
 // speedup is the contract; the parallel layer is bench_parallel_scaling's
 // subject).
@@ -26,6 +28,7 @@
 #include "nn/init.h"
 #include "nn/lstm.h"
 #include "nn/ops.h"
+#include "reference/fft_reference.h"
 #include "reference/lstm_reference.h"
 #include "util/env.h"
 #include "util/log.h"
@@ -51,16 +54,29 @@ struct KernelResult {
 
 long g_iters = 200;
 
+// Shortest timed sample: a call faster than this is repeated in batches
+// that last at least this long, so clock and timer noise cannot decide a
+// microsecond-scale row.
+constexpr double kMinSampleSeconds = 50e-6;
+
 // Median-free simple protocol: warm up twice (populates workspace arenas
-// and caches), then average `g_iters` calls — kernels here are far above
-// timer resolution at trainer shapes.
+// and caches), size a batch by doubling until it lasts kMinSampleSeconds
+// (one call for every kernel at least that slow), then average
+// `g_iters` batches.
 template <typename Fn>
 double time_kernel(Fn&& fn) {
   fn();
   fn();
+  long batch = 1;
+  for (;;) {
+    Stopwatch probe;
+    for (long i = 0; i < batch; ++i) fn();
+    if (probe.seconds() >= kMinSampleSeconds) break;
+    batch *= 2;
+  }
   Stopwatch watch;
-  for (long i = 0; i < g_iters; ++i) fn();
-  return watch.seconds() / static_cast<double>(g_iters);
+  for (long i = 0; i < g_iters * batch; ++i) fn();
+  return watch.seconds() / static_cast<double>(g_iters * batch);
 }
 
 // The pre-PR matmul kernel, verbatim: serial triple loop with the
@@ -253,7 +269,8 @@ std::vector<double> random_real_signal(long n, std::uint64_t seed) {
 }
 
 // Real-input transform at a power-of-two length: the half-spectrum fast
-// path vs the Bluestein chirp-z evaluation of the same rfft.
+// path vs the scalar reference's Bluestein evaluation of the same rfft
+// (tests/reference, so a faster engine cannot shrink the ratio).
 KernelResult bench_rfft_pow2(const std::string& name, long n) {
   const std::vector<double> x = random_real_signal(n, 31);
   KernelResult r;
@@ -261,8 +278,66 @@ KernelResult bench_rfft_pow2(const std::string& name, long n) {
   r.shape = "rfft N=" + std::to_string(n);
   const double nd = static_cast<double>(n);
   r.flops_per_call = 5.0 * nd * std::log2(nd);
-  r.seconds_ref = time_kernel([&] { dsp::detail::rfft_bluestein(x); });
+  r.seconds_ref = time_kernel([&] { reference::rfft_bluestein(x); });
   r.seconds_new = time_kernel([&] { dsp::rfft(x); });
+  return r;
+}
+
+// The irfft bridge's transform: one batch row of `lanes` pixels at
+// length n whose spectrum holds `bins` nonzero bins at stride `stride`
+// (spectrum_bins at the k-multiple expansion) and +0 elsewhere, as one
+// lane-batched irfft against the scalar reference per lane.
+KernelResult bench_irfft_bridge(const std::string& name, long n, long lanes, long bins,
+                                long stride) {
+  const long half = n / 2 + 1;
+  Rng rng(37);
+  std::vector<std::vector<dsp::Complex>> spectra(static_cast<std::size_t>(lanes));
+  std::vector<double> re(static_cast<std::size_t>(half * lanes), 0.0), im(re.size(), 0.0);
+  for (long l = 0; l < lanes; ++l) {
+    std::vector<dsp::Complex>& spec = spectra[static_cast<std::size_t>(l)];
+    spec.assign(static_cast<std::size_t>(half), dsp::Complex(0.0, 0.0));
+    for (long i = 0; i < bins; ++i) {
+      const auto at = static_cast<std::size_t>(i * stride);
+      spec[at] = dsp::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+      re[at * static_cast<std::size_t>(lanes) + static_cast<std::size_t>(l)] = spec[at].real();
+      im[at * static_cast<std::size_t>(lanes) + static_cast<std::size_t>(l)] = spec[at].imag();
+    }
+  }
+  std::vector<double> x(static_cast<std::size_t>(n * lanes));
+  KernelResult r;
+  r.name = name;
+  r.shape = "irfft N=" + std::to_string(n) + " x" + std::to_string(lanes) + " lanes, " +
+            std::to_string(bins) + " bins stride " + std::to_string(stride);
+  const double nd = static_cast<double>(n);
+  r.flops_per_call = static_cast<double>(lanes) * 5.0 * nd * std::log2(nd);
+  r.seconds_ref = time_kernel([&] {
+    for (const std::vector<dsp::Complex>& spec : spectra) reference::irfft(spec, n);
+  });
+  r.seconds_new = time_kernel([&] { dsp::irfft_lanes(re.data(), im.data(), n, lanes, x.data()); });
+  return r;
+}
+
+// The spectrum targets' transform: one lane-batched rfft of `lanes`
+// series against the scalar reference per lane.
+KernelResult bench_rfft_targets(const std::string& name, long n, long lanes) {
+  std::vector<std::vector<double>> series;
+  std::vector<double> x(static_cast<std::size_t>(n * lanes));
+  for (long l = 0; l < lanes; ++l) {
+    series.push_back(random_real_signal(n, 41 + static_cast<std::uint64_t>(l)));
+    for (long k = 0; k < n; ++k) {
+      x[static_cast<std::size_t>(k * lanes + l)] = series.back()[static_cast<std::size_t>(k)];
+    }
+  }
+  std::vector<double> re(static_cast<std::size_t>((n / 2 + 1) * lanes)), im(re.size());
+  KernelResult r;
+  r.name = name;
+  r.shape = "rfft N=" + std::to_string(n) + " x" + std::to_string(lanes) + " lanes";
+  const double nd = static_cast<double>(n);
+  r.flops_per_call = static_cast<double>(lanes) * 5.0 * nd * std::log2(nd);
+  r.seconds_ref = time_kernel([&] {
+    for (const std::vector<double>& s : series) reference::rfft(s);
+  });
+  r.seconds_new = time_kernel([&] { dsp::rfft_lanes(x.data(), n, lanes, re.data(), im.data()); });
   return r;
 }
 
@@ -314,8 +389,12 @@ int main() {
   // per-step unfused path, plus the fusion win in isolation.
   results.push_back(bench_lstm_train_step("lstm_train_gt", 168, 6, 28, 24, 16));
   results.push_back(bench_lstm_fused_train("lstm_fused_train", 168, 6, 28, 24, 16));
-  // Real-input FFT: the 512-point pow2 fast path against Bluestein.
+  // Real-input FFT: the 512-point pow2 fast path against Bluestein, and
+  // the lane-batched transforms of the irfft bridge (T = 504, k = 3,
+  // 28 bins) and of the spectrum targets (T = 168) at 16 pixels.
   results.push_back(bench_rfft_pow2("rfft_pow2", 512));
+  results.push_back(bench_irfft_bridge("irfft_bridge_504", 504, 16, 28, 3));
+  results.push_back(bench_rfft_targets("rfft_targets_168", 168, 16));
 
   std::printf("%-28s %-14s %-14s %-10s %-10s %s\n", "kernel", "ref s/call", "new s/call",
               "ref GF/s", "new GF/s", "speedup");

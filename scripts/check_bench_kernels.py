@@ -12,9 +12,10 @@ reported as warnings only.
 A few kernels additionally carry *absolute* speedup floors, checked on
 the committed baseline itself: these encode PR acceptance criteria (the
 fused LSTM recurrence must hold >= 1.4x over the unfused composition,
-the rfft power-of-two fast path >= 2x over Bluestein at the same
-length), so a regenerated baseline cannot quietly launder a regression
-into the new normal.
+the rfft power-of-two fast path >= 2x over the scalar reference's
+Bluestein at the same length, the lane-batched irfft of the bridge
+>= 25x over the scalar reference per lane), so a regenerated baseline
+cannot quietly launder a regression into the new normal.
 
 Usage: check_bench_kernels.py <baseline.json> <current.json>
 """
@@ -29,6 +30,7 @@ ABSOLUTE_FLOORS = {
     "lstm_train_gt": 1.4,
     "lstm_fused_train": 1.4,
     "rfft_pow2": 2.0,
+    "irfft_bridge_504": 25.0,
 }
 
 

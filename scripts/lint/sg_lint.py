@@ -118,11 +118,12 @@ MUTABLE_STATIC_ALLOWLIST = {
     # (§6a/§6d). Transform work buffers are per call, not static.
     "src/dsp/fft.cpp:plan_cache",
     # SIMD dispatch selection: written once on first kernel use (or by
-    # the test-only set_simd_level override), then read lock-free. The
-    # level never changes results — every level is bitwise identical
-    # (gemm_micro.h) — so this is a throughput knob, not hidden
-    # numerical state.
-    "src/nn/dispatch.cpp:g_active",
+    # the test-only set_simd_level override), then read lock-free by the
+    # GEMM, activation and FFT kernel tables. The level never changes
+    # results — every level is bitwise identical (gemm_micro.h,
+    # fft_kernels.h) — so this is a throughput knob, not hidden numerical
+    # state.
+    "src/util/simd.cpp:g_active",
 }
 
 # Sanctioned concurrency-primitive declarations:

@@ -56,19 +56,4 @@ std::vector<double> irfft(const std::vector<Complex>& spectrum, long n);
 // True if n is a power of two (n >= 1).
 bool is_power_of_two(long n);
 
-namespace detail {
-
-// Test/bench hooks that force the Bluestein kernel at any length, powers
-// of two included, so the radix-2 paths have an independent in-engine
-// comparison and an honest bench baseline.
-
-// Chirp-z (Bluestein) transform at any length.
-void bluestein_inplace(std::vector<Complex>& a, bool inverse);
-
-// rfft evaluated through the full-length Bluestein transform — the
-// reference the power-of-two fast path is compared against.
-std::vector<Complex> rfft_bluestein(const std::vector<double>& x);
-
-}  // namespace detail
-
 }  // namespace spectra::dsp

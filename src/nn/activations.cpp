@@ -1,7 +1,7 @@
 #include "nn/activations.h"
 
 #include "nn/activation_simd.h"
-#include "nn/dispatch.h"
+#include "util/simd.h"
 
 namespace spectra::nn::act {
 

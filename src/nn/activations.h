@@ -32,7 +32,7 @@ inline float stable_sigmoid(float x) {
 namespace act {
 
 // y[i] = stable_sigmoid(x[i]) for i < n, at the active SIMD level
-// (dispatch.h). x and y may be the same span; otherwise they must not
+// (util/simd.h). x and y may be the same span; otherwise they must not
 // overlap.
 void sigmoid(const float* x, float* y, std::size_t n);
 

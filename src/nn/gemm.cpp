@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <vector>
 
-#include "nn/dispatch.h"
 #include "nn/gemm_micro.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "util/error.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace spectra::nn::gemm {
@@ -26,6 +26,11 @@ obs::Counter& calls_counter() {
 
 obs::Gauge& bytes_gauge() {
   static obs::Gauge& g = obs::Registry::instance().gauge("gemm.workspace_bytes");
+  return g;
+}
+
+obs::Gauge& simd_gauge() {
+  static obs::Gauge& g = obs::Registry::instance().gauge("gemm.simd_level");
   return g;
 }
 
@@ -97,9 +102,14 @@ constexpr detail::MicroKernelSet kNeonSet = {
 #endif
 
 // The register tile sgemm feeds: resolved once per call from the
-// dispatch layer (the level itself is selected once per process).
+// process-wide SIMD level (util/simd.h, selected once per process), which
+// the gemm.simd_level gauge reports. The gauge is written only when it
+// differs, so concurrent calls only read its cache line.
 const detail::MicroKernelSet& active_kernel_set() {
-  switch (active_simd_level()) {
+  const SimdLevel level = active_simd_level();
+  const auto published = static_cast<double>(static_cast<int>(level));
+  if (simd_gauge().value() != published) simd_gauge().set(published);
+  switch (level) {
     case SimdLevel::kAvx2:
       return *detail::kernels_avx2();
     case SimdLevel::kAvx512:

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "nn/activations.h"
-#include "nn/dispatch.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -59,7 +59,7 @@ BlockResult sweep_block(std::size_t block) {
 }  // namespace
 
 int main() {
-  const spectra::nn::SimdLevel level = spectra::nn::active_simd_level();
+  const spectra::SimdLevel level = spectra::active_simd_level();
   std::vector<BlockResult> results(kBlocks);
   spectra::parallel_for(kBlocks, 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t b = begin; b < end; ++b) results[b] = sweep_block(b);
@@ -80,7 +80,7 @@ int main() {
       }
     }
     std::printf("%s %s: %llu of %llu patterns differ from the scalar definition\n",
-                spectra::nn::simd_level_name(level), kNames[f],
+                spectra::simd_level_name(level), kNames[f],
                 static_cast<unsigned long long>(total), static_cast<unsigned long long>(kPatterns));
     clean = clean && total == 0;
   }

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "nn/activations.h"
-#include "nn/dispatch.h"
+#include "util/simd.h"
 
 namespace spectra::nn {
 namespace {

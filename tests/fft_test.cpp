@@ -10,6 +10,7 @@
 #include "reference/fft_reference.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace spectra::dsp {
 namespace {
@@ -145,15 +146,15 @@ std::vector<double> random_real_signal(long n, std::uint64_t seed) {
   return x;
 }
 
-// The power-of-two half-spectrum fast path must agree with the
-// Bluestein-forced reference at every bin; non-pow2 lengths exercise the
-// fallback against the same reference.
+// The power-of-two half-spectrum fast path must agree with the scalar
+// reference's Bluestein evaluation at every bin; non-pow2 lengths
+// exercise the fallback against the same reference.
 TEST(RfftFastPathTest, MatchesBluesteinReferenceAcrossLengths) {
   for (long n : {2L, 4L, 8L, 64L, 256L, 512L, 1024L,  // pow2 fast path
                  3L, 21L, 100L, 168L, 251L, 504L}) {  // fallback lengths
     const std::vector<double> x = random_real_signal(n, static_cast<std::uint64_t>(n) + 17);
     const std::vector<Complex> fast = rfft(x);
-    const std::vector<Complex> ref = detail::rfft_bluestein(x);
+    const std::vector<Complex> ref = reference::rfft_bluestein(x);
     ASSERT_EQ(fast.size(), ref.size()) << "n=" << n;
     const double tol = 1e-9 * static_cast<double>(n);
     for (std::size_t k = 0; k < fast.size(); ++k) {
@@ -199,8 +200,11 @@ TEST(RfftFastPathTest, CounterCountsFastCallsOnly) {
 // scalar reference (tests/reference) bit for bit, at every lane count.
 
 // Lengths: radix-2 (2..1024), Bluestein at odd, prime and composite
-// lengths, and the paper's T = 24, 168 and 504 (k = 3).
-const long kBitwiseLengths[] = {1, 2, 3, 8, 16, 21, 24, 48, 72, 100, 168, 251, 504, 512, 1024};
+// lengths, and the paper's T = 24, 168 and 504 (k = 3). The Bluestein
+// lengths reach every padded length m from 8 (n = 3) to 2048 (n = 1000),
+// so every pass schedule of the engine runs.
+const long kBitwiseLengths[] = {1,  2,   3,   5,   8,   12,  16,  21,  24,
+                                48, 72,  100, 168, 251, 504, 512, 1000, 1024};
 
 std::uint64_t bits(double v) {
   std::uint64_t b = 0;
@@ -271,39 +275,25 @@ std::vector<std::uint64_t> pattern_seeds(long n) {
   return {base, base + 1, base + 2};
 }
 
-TEST(FftBitwiseTest, PerSeriesEntryPointsMatchScalarReference) {
-  for (long n : kBitwiseLengths) {
-    for (std::uint64_t seed : pattern_seeds(n)) {
-      for (bool inverse : {false, true}) {
-        std::vector<Complex> got = signed_zero_complex(n, seed);
-        std::vector<Complex> want = got;
-        fft_inplace(got, inverse);
-        reference::fft_inplace(want, inverse);
-        expect_bitwise(got, want, where(inverse ? "ifft" : "fft", n));
-      }
-      const std::vector<double> x = signed_zero_signal(n, seed);
-      expect_bitwise(rfft(x), reference::rfft(x), where("rfft", n));
-      const std::vector<Complex> spec = signed_zero_complex(n / 2 + 1, seed);
-      expect_bitwise(irfft(spec, n), reference::irfft(spec, n), where("irfft", n));
+// Every per-series entry point at length n, over the three patterns.
+void check_per_series(long n) {
+  for (std::uint64_t seed : pattern_seeds(n)) {
+    for (bool inverse : {false, true}) {
+      std::vector<Complex> got = signed_zero_complex(n, seed);
+      std::vector<Complex> want = got;
+      fft_inplace(got, inverse);
+      reference::fft_inplace(want, inverse);
+      expect_bitwise(got, want, where(inverse ? "ifft" : "fft", n));
     }
+    const std::vector<double> x = signed_zero_signal(n, seed);
+    expect_bitwise(rfft(x), reference::rfft(x), where("rfft", n));
+    const std::vector<Complex> spec = signed_zero_complex(n / 2 + 1, seed);
+    expect_bitwise(irfft(spec, n), reference::irfft(spec, n), where("irfft", n));
   }
 }
 
-TEST(FftBitwiseTest, ForcedBluesteinMatchesScalarReference) {
-  for (long n : kBitwiseLengths) {
-    for (std::uint64_t seed : pattern_seeds(n)) {
-      for (bool inverse : {false, true}) {
-        std::vector<Complex> got = signed_zero_complex(n, seed);
-        std::vector<Complex> want = got;
-        detail::bluestein_inplace(got, inverse);
-        reference::bluestein_inplace(want, inverse);
-        expect_bitwise(got, want, where("bluestein", n));
-      }
-      const std::vector<double> x = signed_zero_signal(n, seed);
-      expect_bitwise(detail::rfft_bluestein(x), reference::rfft_bluestein(x),
-                     where("rfft_bluestein", n));
-    }
-  }
+TEST(FftBitwiseTest, PerSeriesEntryPointsMatchScalarReference) {
+  for (long n : kBitwiseLengths) check_per_series(n);
 }
 
 // Exhaustive sign-of-zero check at short lengths: every assignment of
@@ -351,68 +341,134 @@ std::vector<double> lane_of(const std::vector<double>& a, long rows, long lanes,
   return out;
 }
 
-TEST(FftBitwiseTest, LaneEntryPointsMatchScalarReferencePerLane) {
-  for (long lanes : {1L, 3L, 16L, 64L}) {
-    for (long n : kBitwiseLengths) {
-      const long bins = n / 2 + 1;
-      const auto rows = static_cast<std::size_t>(n * lanes);
-      std::vector<std::vector<Complex>> series;
-      std::vector<std::vector<double>> reals;
-      std::vector<std::vector<Complex>> spectra;
-      std::vector<double> re(rows), im(rows), x(rows);
-      std::vector<double> spec_re(static_cast<std::size_t>(bins * lanes));
-      std::vector<double> spec_im(spec_re.size());
-      for (long l = 0; l < lanes; ++l) {
-        // Consecutive lanes cycle through the three signal patterns.
-        const auto seed = static_cast<std::uint64_t>(n * 100 + l);
-        series.push_back(signed_zero_complex(n, seed));
-        reals.push_back(signed_zero_signal(n, seed + 1));
-        spectra.push_back(signed_zero_complex(bins, seed + 2));
-        for (long k = 0; k < n; ++k) {
-          const auto at = static_cast<std::size_t>(k * lanes + l);
-          re[at] = series.back()[static_cast<std::size_t>(k)].real();
-          im[at] = series.back()[static_cast<std::size_t>(k)].imag();
-          x[at] = reals.back()[static_cast<std::size_t>(k)];
-        }
-        for (long k = 0; k < bins; ++k) {
-          const auto at = static_cast<std::size_t>(k * lanes + l);
-          spec_re[at] = spectra.back()[static_cast<std::size_t>(k)].real();
-          spec_im[at] = spectra.back()[static_cast<std::size_t>(k)].imag();
-        }
-      }
-      for (bool inverse : {false, true}) {
-        std::vector<double> got_re = re, got_im = im;
-        fft_lanes(got_re.data(), got_im.data(), n, lanes, inverse);
-        for (long l = 0; l < lanes; ++l) {
-          std::vector<Complex> want = series[static_cast<std::size_t>(l)];
-          reference::fft_inplace(want, inverse);
-          std::vector<double> want_re, want_im;
-          for (const Complex& c : want) {
-            want_re.push_back(c.real());
-            want_im.push_back(c.imag());
-          }
-          const std::string what = where(inverse ? "ifft_lanes" : "fft_lanes", n, lanes, l);
-          expect_bitwise(lane_of(got_re, n, lanes, l), want_re, what + " re");
-          expect_bitwise(lane_of(got_im, n, lanes, l), want_im, what + " im");
-        }
-      }
-      std::vector<double> out_re(spec_re.size()), out_im(spec_re.size()), out_x(rows);
-      rfft_lanes(x.data(), n, lanes, out_re.data(), out_im.data());
-      irfft_lanes(spec_re.data(), spec_im.data(), n, lanes, out_x.data());
-      for (long l = 0; l < lanes; ++l) {
-        std::vector<Complex> got(static_cast<std::size_t>(bins));
-        for (long k = 0; k < bins; ++k) {
-          got[static_cast<std::size_t>(k)] =
-              Complex(out_re[static_cast<std::size_t>(k * lanes + l)],
-                      out_im[static_cast<std::size_t>(k * lanes + l)]);
-        }
-        expect_bitwise(got, reference::rfft(reals[static_cast<std::size_t>(l)]),
-                       where("rfft_lanes", n, lanes, l));
-        expect_bitwise(lane_of(out_x, n, lanes, l),
-                       reference::irfft(spectra[static_cast<std::size_t>(l)], n),
-                       where("irfft_lanes", n, lanes, l));
-      }
+// Every lane entry point at length n over `lanes` series, each lane
+// against the scalar reference.
+void check_lanes(long n, long lanes) {
+  const long bins = n / 2 + 1;
+  const auto rows = static_cast<std::size_t>(n * lanes);
+  std::vector<std::vector<Complex>> series;
+  std::vector<std::vector<double>> reals;
+  std::vector<std::vector<Complex>> spectra;
+  std::vector<double> re(rows), im(rows), x(rows);
+  std::vector<double> spec_re(static_cast<std::size_t>(bins * lanes));
+  std::vector<double> spec_im(spec_re.size());
+  for (long l = 0; l < lanes; ++l) {
+    // Consecutive lanes cycle through the three signal patterns.
+    const auto seed = static_cast<std::uint64_t>(n * 100 + l);
+    series.push_back(signed_zero_complex(n, seed));
+    reals.push_back(signed_zero_signal(n, seed + 1));
+    spectra.push_back(signed_zero_complex(bins, seed + 2));
+    for (long k = 0; k < n; ++k) {
+      const auto at = static_cast<std::size_t>(k * lanes + l);
+      re[at] = series.back()[static_cast<std::size_t>(k)].real();
+      im[at] = series.back()[static_cast<std::size_t>(k)].imag();
+      x[at] = reals.back()[static_cast<std::size_t>(k)];
     }
+    for (long k = 0; k < bins; ++k) {
+      const auto at = static_cast<std::size_t>(k * lanes + l);
+      spec_re[at] = spectra.back()[static_cast<std::size_t>(k)].real();
+      spec_im[at] = spectra.back()[static_cast<std::size_t>(k)].imag();
+    }
+  }
+  for (bool inverse : {false, true}) {
+    std::vector<double> got_re = re, got_im = im;
+    fft_lanes(got_re.data(), got_im.data(), n, lanes, inverse);
+    for (long l = 0; l < lanes; ++l) {
+      std::vector<Complex> want = series[static_cast<std::size_t>(l)];
+      reference::fft_inplace(want, inverse);
+      std::vector<double> want_re, want_im;
+      for (const Complex& c : want) {
+        want_re.push_back(c.real());
+        want_im.push_back(c.imag());
+      }
+      const std::string what = where(inverse ? "ifft_lanes" : "fft_lanes", n, lanes, l);
+      expect_bitwise(lane_of(got_re, n, lanes, l), want_re, what + " re");
+      expect_bitwise(lane_of(got_im, n, lanes, l), want_im, what + " im");
+    }
+  }
+  std::vector<double> out_re(spec_re.size()), out_im(spec_re.size()), out_x(rows);
+  rfft_lanes(x.data(), n, lanes, out_re.data(), out_im.data());
+  irfft_lanes(spec_re.data(), spec_im.data(), n, lanes, out_x.data());
+  for (long l = 0; l < lanes; ++l) {
+    std::vector<Complex> got(static_cast<std::size_t>(bins));
+    for (long k = 0; k < bins; ++k) {
+      got[static_cast<std::size_t>(k)] =
+          Complex(out_re[static_cast<std::size_t>(k * lanes + l)],
+                  out_im[static_cast<std::size_t>(k * lanes + l)]);
+    }
+    expect_bitwise(got, reference::rfft(reals[static_cast<std::size_t>(l)]),
+                   where("rfft_lanes", n, lanes, l));
+    expect_bitwise(lane_of(out_x, n, lanes, l),
+                   reference::irfft(spectra[static_cast<std::size_t>(l)], n),
+                   where("irfft_lanes", n, lanes, l));
+  }
+}
+
+// Lane counts that leave a partial block at every vector width (8, 4, 2
+// and 1 doubles) and fill whole blocks of each.
+const long kLaneCounts[] = {1, 3, 5, 9, 16, 17, 64};
+
+TEST(FftBitwiseTest, LaneEntryPointsMatchScalarReferencePerLane) {
+  for (long lanes : kLaneCounts) {
+    for (long n : kBitwiseLengths) check_lanes(n, lanes);
+  }
+}
+
+// The irfft bridge's spectra at T = 504, k = 3: 28 nonzero bins at
+// stride 3 among 253, the rest +0.0 or -0.0, over one 16-pixel row.
+void check_bridge_shape() {
+  const long n = 504;
+  const long bins = n / 2 + 1;
+  const long lanes = 16;
+  Rng rng(504);
+  std::vector<std::vector<Complex>> spectra;
+  std::vector<double> re(static_cast<std::size_t>(bins * lanes));
+  std::vector<double> im(re.size());
+  for (long l = 0; l < lanes; ++l) {
+    std::vector<Complex> spec(static_cast<std::size_t>(bins));
+    for (long k = 0; k < bins; ++k) {
+      const double zr = rng.uniform(-1, 1) < 0 ? -0.0 : 0.0;
+      const double zi = rng.uniform(-1, 1) < 0 ? -0.0 : 0.0;
+      const bool live = k % 3 == 0 && k / 3 < 28;
+      spec[static_cast<std::size_t>(k)] =
+          live ? Complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) : Complex(zr, zi);
+      re[static_cast<std::size_t>(k * lanes + l)] = spec[static_cast<std::size_t>(k)].real();
+      im[static_cast<std::size_t>(k * lanes + l)] = spec[static_cast<std::size_t>(k)].imag();
+    }
+    spectra.push_back(spec);
+  }
+  std::vector<double> x(static_cast<std::size_t>(n * lanes));
+  irfft_lanes(re.data(), im.data(), n, lanes, x.data());
+  for (long l = 0; l < lanes; ++l) {
+    expect_bitwise(lane_of(x, n, lanes, l),
+                   reference::irfft(spectra[static_cast<std::size_t>(l)], n),
+                   where("bridge irfft_lanes", n, lanes, l));
+  }
+}
+
+TEST(FftBitwiseTest, BridgeShapedIrfftMatchesScalarReference) { check_bridge_shape(); }
+
+// Scoped override of the SIMD dispatch level.
+struct SimdOverride {
+  explicit SimdOverride(SimdLevel level) : prev(active_simd_level()) { set_simd_level(level); }
+  ~SimdOverride() { set_simd_level(prev); }
+  SimdLevel prev;
+};
+
+// Every level this build and CPU support runs its own pass widths (and
+// the narrower ones for lane tails); each must equal the scalar
+// reference bit for bit, not just the default level.
+TEST(FftBitwiseTest, EverySimdLevelMatchesScalarReference) {
+  for (const SimdLevel level :
+       {SimdLevel::kGeneric, SimdLevel::kAvx2, SimdLevel::kAvx512, SimdLevel::kNeon}) {
+    if (!simd_level_available(level)) continue;
+    SimdOverride guard(level);
+    SCOPED_TRACE(simd_level_name(level));
+    for (long n : kBitwiseLengths) {
+      check_per_series(n);
+      for (long lanes : kLaneCounts) check_lanes(n, lanes);
+    }
+    check_bridge_shape();
   }
 }
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "nn/conv.h"
-#include "nn/dispatch.h"
 #include "nn/init.h"
 #include "nn/layers.h"
 #include "nn/lstm.h"
@@ -23,6 +22,7 @@
 #include "obs/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace spectra::nn {

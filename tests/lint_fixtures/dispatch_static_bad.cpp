@@ -1,8 +1,8 @@
 // Fixture: MUST trigger [mutable-static] — the dispatch allowlist entry
 // covers exactly `g_active`, so any other mutable static smuggled into
-// the dispatch TU still fires. Linted as-if at src/nn/dispatch.cpp.
+// the dispatch TU still fires. Linted as-if at src/util/simd.cpp.
 
-namespace spectra::nn {
+namespace spectra {
 
 int select_level();
 
@@ -12,4 +12,4 @@ int rogue_level() {
   return g_rogue;
 }
 
-}  // namespace spectra::nn
+}  // namespace spectra

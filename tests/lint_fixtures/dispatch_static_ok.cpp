@@ -1,7 +1,7 @@
 // Clean twin of dispatch_static_bad.cpp: the one-time dispatch-level
 // selection cell is on the audited allowlist under exactly this file and
-// identifier (src/nn/dispatch.cpp:g_active). Linted as-if at
-// src/nn/dispatch.cpp.
+// identifier (src/util/simd.cpp:g_active). Linted as-if at
+// src/util/simd.cpp.
 
 namespace std {
 template <typename T>
@@ -11,7 +11,7 @@ struct atomic {
 };
 }  // namespace std
 
-namespace spectra::nn {
+namespace spectra {
 
 int select_level();
 
@@ -25,4 +25,4 @@ int active_level() {
   return level;
 }
 
-}  // namespace spectra::nn
+}  // namespace spectra

@@ -33,9 +33,9 @@ CASES = [
     ("static_ok.cpp", "src/geo/fixture.cpp", [], 0, []),
     # Dispatch-selection allowlist: only the audited identifier passes in
     # the dispatch TU; anything else still fires.
-    ("dispatch_static_bad.cpp", "src/nn/dispatch.cpp", [], 1,
+    ("dispatch_static_bad.cpp", "src/util/simd.cpp", [], 1,
      ["[mutable-static]", "g_rogue"]),
-    ("dispatch_static_ok.cpp", "src/nn/dispatch.cpp", [], 0, []),
+    ("dispatch_static_ok.cpp", "src/util/simd.cpp", [], 0, []),
     ("floatmix_bad.cpp", "src/nn/gemm.cpp", [], 1, ["[float-mix]"]),
     ("floatmix_ok.cpp", "src/nn/gemm.cpp", [], 0, []),
     ("registry_bad.cpp", "src/obs/fixture.cpp",

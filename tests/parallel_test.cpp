@@ -20,12 +20,12 @@
 #include "dsp/fft.h"
 #include "geo/patching.h"
 #include "nn/conv.h"
-#include "nn/dispatch.h"
 #include "nn/init.h"
 #include "nn/lstm.h"
 #include "nn/ops.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace spectra {
@@ -177,26 +177,26 @@ TEST(ParallelDeterminismTest, LstmInferBitwiseIdenticalAcrossThreadCounts) {
   expect_bitwise_equal(run_lstm_infer(1), run_lstm_infer(8), "lstm infer output");
 }
 
-// Scoped override of the GEMM SIMD dispatch level.
+// Scoped override of the SIMD dispatch level.
 struct SimdOverride {
-  explicit SimdOverride(nn::SimdLevel level) : prev(nn::active_simd_level()) {
-    nn::set_simd_level(level);
+  explicit SimdOverride(SimdLevel level) : prev(active_simd_level()) {
+    set_simd_level(level);
   }
-  ~SimdOverride() { nn::set_simd_level(prev); }
-  nn::SimdLevel prev;
+  ~SimdOverride() { set_simd_level(prev); }
+  SimdLevel prev;
 };
 
 // The 1-vs-8-thread contract must hold at every dispatch level this
 // build and CPU support, not just the default: lane width changes which
 // C columns share a register, never the per-element reduction order.
 TEST(ParallelDeterminismTest, LinearBitwiseIdenticalAcrossThreadCountsAtEverySimdLevel) {
-  for (const nn::SimdLevel level : {nn::SimdLevel::kGeneric, nn::SimdLevel::kAvx2,
-                                    nn::SimdLevel::kAvx512, nn::SimdLevel::kNeon}) {
-    if (!nn::simd_level_available(level)) continue;
+  for (const SimdLevel level :
+       {SimdLevel::kGeneric, SimdLevel::kAvx2, SimdLevel::kAvx512, SimdLevel::kNeon}) {
+    if (!simd_level_available(level)) continue;
     SimdOverride guard(level);
     const LinearRun serial = run_linear(1);
     const LinearRun parallel = run_linear(8);
-    const char* name = nn::simd_level_name(level);
+    const char* name = simd_level_name(level);
     expect_bitwise_equal(serial.y, parallel.y, name);
     expect_bitwise_equal(serial.gx, parallel.gx, name);
     expect_bitwise_equal(serial.gw, parallel.gw, name);

@@ -194,16 +194,6 @@ std::vector<double> irfft(const std::vector<Complex>& spectrum, long n) {
   return out;
 }
 
-void bluestein_inplace(std::vector<Complex>& a, bool inverse) {
-  const long n = static_cast<long>(a.size());
-  if (n <= 1) return;
-  bluestein(a, inverse ? +1 : -1);
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (Complex& c : a) c *= inv_n;
-  }
-}
-
 std::vector<Complex> rfft_bluestein(const std::vector<double>& x) {
   const long n = static_cast<long>(x.size());
   SG_CHECK(n >= 1, "rfft_bluestein of empty signal");

@@ -24,9 +24,6 @@ std::vector<Complex> rfft(const std::vector<double>& x);
 // Inverse of rfft for output length n (spectrum size n/2+1).
 std::vector<double> irfft(const std::vector<Complex>& spectrum, long n);
 
-// Bluestein at any length, powers of two included.
-void bluestein_inplace(std::vector<Complex>& a, bool inverse);
-
 // rfft through the full-length Bluestein transform.
 std::vector<Complex> rfft_bluestein(const std::vector<double>& x);
 
