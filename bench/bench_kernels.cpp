@@ -8,12 +8,18 @@
 // regresses >20% against the committed baseline
 // (scripts/check_bench_kernels.py).
 //
-// Knobs: SPECTRA_BENCH_ITERS (timed samples per kernel, default 200; a
+// Every row times its reference and new kernel as interleaved pairs of
+// samples, and its speedup is the median of the per-pair ratios: the two
+// sides of a ratio run back to back, at whatever speed the host runs
+// then.
+//
+// Knobs: SPECTRA_BENCH_ITERS (sample pairs per kernel, default 200; a
 // sample batches sub-50 µs calls),
 // SPECTRA_THREADS (kernels are measured at 1 thread — the single-thread
 // speedup is the contract; the parallel layer is bench_parallel_scaling's
 // subject).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +27,7 @@
 #include <vector>
 
 #include "bench_report.h"
+#include "core/time_generator.h"
 #include "dsp/fft.h"
 #include "nn/autograd.h"
 #include "nn/conv.h"
@@ -44,9 +51,9 @@ struct KernelResult {
   std::string name;
   std::string shape;
   double flops_per_call = 0.0;
-  double seconds_ref = 0.0;
-  double seconds_new = 0.0;
-  double speedup() const { return seconds_new > 0.0 ? seconds_ref / seconds_new : 0.0; }
+  double seconds_ref = 0.0;  // median per-call time of the reference samples
+  double seconds_new = 0.0;  // median per-call time of the new samples
+  double speedup = 0.0;      // median of the per-pair ratios ref / new
   double gflops(double seconds) const {
     return seconds > 0.0 ? flops_per_call / seconds * 1e-9 : 0.0;
   }
@@ -59,12 +66,11 @@ long g_iters = 200;
 // microsecond-scale row.
 constexpr double kMinSampleSeconds = 50e-6;
 
-// Median-free simple protocol: warm up twice (populates workspace arenas
-// and caches), size a batch by doubling until it lasts kMinSampleSeconds
-// (one call for every kernel at least that slow), then average
-// `g_iters` batches.
+// Warm up twice (populates workspace arenas and caches), then size a
+// batch by doubling until it lasts kMinSampleSeconds (one call for every
+// kernel at least that slow).
 template <typename Fn>
-double time_kernel(Fn&& fn) {
+long sample_batch(Fn& fn) {
   fn();
   fn();
   long batch = 1;
@@ -74,9 +80,50 @@ double time_kernel(Fn&& fn) {
     if (probe.seconds() >= kMinSampleSeconds) break;
     batch *= 2;
   }
+  return batch;
+}
+
+// Per-call seconds of one sample of `batch` calls.
+template <typename Fn>
+double time_sample(Fn& fn, long batch) {
   Stopwatch watch;
-  for (long i = 0; i < g_iters * batch; ++i) fn();
-  return watch.seconds() / static_cast<double>(g_iters * batch);
+  for (long i = 0; i < batch; ++i) fn();
+  return watch.seconds() / static_cast<double>(batch);
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
+// `g_iters` pairs of one reference and one new sample, back to back,
+// alternating which runs first. The host's single-thread speed switches
+// between levels in stretches of seconds, so only the two halves of one
+// pair are sure to share a level: the row's speedup is the median of
+// the per-pair ratios, and its times are each side's median sample.
+template <typename Ref, typename New>
+void time_pairs(KernelResult& r, Ref&& ref, New&& fresh) {
+  const long ref_batch = sample_batch(ref);
+  const long new_batch = sample_batch(fresh);
+  std::vector<double> ref_s, new_s, ratios;
+  for (long i = 0; i < g_iters; ++i) {
+    double t_ref = 0.0;
+    double t_new = 0.0;
+    if (i % 2 == 0) {
+      t_ref = time_sample(ref, ref_batch);
+      t_new = time_sample(fresh, new_batch);
+    } else {
+      t_new = time_sample(fresh, new_batch);
+      t_ref = time_sample(ref, ref_batch);
+    }
+    ref_s.push_back(t_ref);
+    new_s.push_back(t_new);
+    ratios.push_back(t_new > 0.0 ? t_ref / t_new : 0.0);
+  }
+  r.seconds_ref = median(ref_s);
+  r.seconds_new = median(new_s);
+  r.speedup = median(ratios);
 }
 
 // The pre-PR matmul kernel, verbatim: serial triple loop with the
@@ -105,11 +152,12 @@ KernelResult bench_matmul(const std::string& name, long m, long k, long n) {
   r.shape = "[" + std::to_string(m) + "x" + std::to_string(k) + "]*[" + std::to_string(k) + "x" +
             std::to_string(n) + "]";
   r.flops_per_call = 2.0 * static_cast<double>(m) * static_cast<double>(k) * static_cast<double>(n);
-  r.seconds_ref = time_kernel([&] { naive_matmul(m, k, n, a.data(), b.data(), y.data()); });
-  r.seconds_new = time_kernel([&] {
-    nn::gemm::sgemm(nn::gemm::Trans::kNo, nn::gemm::Trans::kNo, m, n, k, a.data(), k, b.data(), n,
-                    y.data(), n, /*accumulate=*/false);
-  });
+  time_pairs(
+      r, [&] { naive_matmul(m, k, n, a.data(), b.data(), y.data()); },
+      [&] {
+        nn::gemm::sgemm(nn::gemm::Trans::kNo, nn::gemm::Trans::kNo, m, n, k, a.data(), k, b.data(),
+                        n, y.data(), n, /*accumulate=*/false);
+      });
   return r;
 }
 
@@ -132,8 +180,8 @@ KernelResult bench_conv_forward(const std::string& name, long N, long C, long H,
   nn::InferenceGuard guard;  // forward only: no graph bookkeeping in the timing
   nn::Conv2dSpec direct{.stride = stride, .padding = padding, .impl = nn::Conv2dImpl::kDirect};
   nn::Conv2dSpec lowered{.stride = stride, .padding = padding, .impl = nn::Conv2dImpl::kIm2col};
-  r.seconds_ref = time_kernel([&] { nn::conv2d(x, w, b, direct); });
-  r.seconds_new = time_kernel([&] { nn::conv2d(x, w, b, lowered); });
+  time_pairs(
+      r, [&] { nn::conv2d(x, w, b, direct); }, [&] { nn::conv2d(x, w, b, lowered); });
   return r;
 }
 
@@ -158,106 +206,81 @@ KernelResult bench_conv_train_step(const std::string& name, long N, long C, long
     x.zero_grad(), w.zero_grad(), b.zero_grad();
     nn::sum(nn::conv2d(x, w, b, spec)).backward();
   };
-  r.seconds_ref = time_kernel([&] { run(nn::Conv2dImpl::kDirect); });
-  r.seconds_new = time_kernel([&] { run(nn::Conv2dImpl::kIm2col); });
+  time_pairs(
+      r, [&] { run(nn::Conv2dImpl::kDirect); }, [&] { run(nn::Conv2dImpl::kIm2col); });
   return r;
 }
 
-KernelResult bench_lstm_train_step(const std::string& name, long T, long B, long in, long hidden,
-                                   long out) {
+// Forward + backward flops of a recurrent step, ≈ 3× the forward
+// contractions (input projection, recurrence, head).
+double lstm_train_flops(long steps, long batch, long in, long hidden, long out) {
+  return 3.0 * static_cast<double>(steps) * 2.0 *
+         static_cast<double>(batch * (in * 4 * hidden + hidden * 4 * hidden + hidden * out));
+}
+
+std::string lstm_shape(long steps, long batch, long in, long hidden, long out) {
+  return "T=" + std::to_string(steps) + " B=" + std::to_string(batch) +
+         " in=" + std::to_string(in) + " H=" + std::to_string(hidden) +
+         " out=" + std::to_string(out);
+}
+
+// G^t's training step: the LSTM sequence op's generation form, forward
+// + backward, against the per-step graph it replaced (tests/reference),
+// on the same parameters, conditioning and clock.
+KernelResult bench_lstm_train_gt(const std::string& name, long T, long B, long cond_dim,
+                                 long hidden, long out) {
+  const long in = cond_dim + core::kTimeFeatures;
   Rng model_rng(13);
-  nn::Lstm lstm(in, hidden, out, model_rng, nn::Activation::kNone);
+  const nn::Lstm lstm(in, hidden, out, model_rng);
+  const std::vector<nn::Var> params = lstm.parameters();
   Rng rng(15);
-  std::vector<nn::Var> inputs;
-  for (long t = 0; t < T; ++t) {
-    inputs.push_back(nn::Var::constant(nn::init::gaussian({B, in}, 1.0f, rng)));
-  }
+  nn::Var cond = nn::Var::leaf(nn::init::gaussian({B, cond_dim}, 1.0f, rng));
+  const nn::Tensor clock = core::clock_table(T, 24);
 
   KernelResult r;
   r.name = name;
-  r.shape = "fwd+bwd T=" + std::to_string(T) + " B=" + std::to_string(B) +
-            " in=" + std::to_string(in) + " H=" + std::to_string(hidden) +
-            " out=" + std::to_string(out);
-  // forward + backward ≈ 3× the forward contraction flops.
-  r.flops_per_call = 3.0 * static_cast<double>(T) * 2.0 *
-                     static_cast<double>(B * (in * 4 * hidden + hidden * 4 * hidden + hidden * out));
-  auto accumulate_loss = [](const std::vector<nn::Var>& outputs) {
-    nn::Var loss = nn::sum(outputs.front());
-    for (std::size_t t = 1; t < outputs.size(); ++t) loss = nn::add(loss, nn::sum(outputs[t]));
-    return loss;
+  r.shape = "fwd+bwd " + lstm_shape(T, B, in, hidden, out);
+  r.flops_per_call = lstm_train_flops(T, B, in, hidden, out);
+  auto train = [&](const nn::Var& y) {
+    nn::sum(y).backward();
+    cond.zero_grad();
+    lstm.zero_grad();
   };
-  auto zero_params = [&] {
-    for (nn::Var& p : lstm.parameters()) p.zero_grad();
-  };
-  // Reference: the pre-batching, pre-fusion training path — one input
-  // projection per step and the op-by-op gate composition. (`step()` now
-  // runs the fused kernel, so composing the reference from it would hide
-  // part of the win inside the baseline.)
-  const std::vector<nn::Var> params = lstm.cell().parameters();  // weight_x, weight_h, bias
-  r.seconds_ref = time_kernel([&] {
-    zero_params();
-    std::vector<nn::Var> outputs;
-    nn::LstmState state = lstm.cell().initial_state(B);
-    for (const nn::Var& x : inputs) {
-      state = reference::lstm_step_unfused(lstm.cell().project_input(x), state, params[1],
-                                           params[2]);
-      outputs.push_back(lstm.head().forward(state.h));
-    }
-    accumulate_loss(outputs).backward();
-  });
-  r.seconds_new = time_kernel([&] {
-    zero_params();
-    accumulate_loss(lstm.forward(inputs)).backward();
-  });
+  time_pairs(
+      r,
+      [&] {
+        train(reference::lstm_generate_graph(params, nn::Activation::kNone, cond, clock));
+      },
+      [&] { train(lstm.generate(cond, clock)); });
   return r;
 }
 
-// Fusion speedup in isolation: both arms use the batched [T·B, 4H] input
-// projection; only the per-step gate math differs (op-by-op composition
-// vs the fused two-node kernel).
-KernelResult bench_lstm_fused_train(const std::string& name, long T, long B, long in, long hidden,
-                                    long out) {
-  Rng model_rng(13);
-  nn::Lstm lstm(in, hidden, out, model_rng, nn::Activation::kNone);
-  Rng rng(15);
-  std::vector<nn::Var> inputs;
-  for (long t = 0; t < T; ++t) {
-    inputs.push_back(nn::Var::constant(nn::init::gaussian({B, in}, 1.0f, rng)));
-  }
+// R^t's training step: the critic form over a [B, T, S] series read at
+// `stride`, forward + backward, against the per-step critic graph.
+KernelResult bench_lstm_train_rt(const std::string& name, long T, long stride, long B, long S,
+                                 long cond_dim, long hidden, long out) {
+  const long in = S + cond_dim;
+  const long steps = (T + stride - 1) / stride;
+  Rng model_rng(17);
+  const nn::Lstm lstm(in, hidden, out, model_rng);
+  const std::vector<nn::Var> params = lstm.parameters();
+  Rng rng(19);
+  nn::Var series = nn::Var::leaf(nn::init::gaussian({B, T, S}, 1.0f, rng));
+  nn::Var cond = nn::Var::leaf(nn::init::gaussian({B, cond_dim}, 1.0f, rng));
 
   KernelResult r;
   r.name = name;
-  r.shape = "fwd+bwd T=" + std::to_string(T) + " B=" + std::to_string(B) +
-            " in=" + std::to_string(in) + " H=" + std::to_string(hidden) +
-            " out=" + std::to_string(out);
-  r.flops_per_call = 3.0 * static_cast<double>(T) * 2.0 *
-                     static_cast<double>(B * (in * 4 * hidden + hidden * 4 * hidden + hidden * out));
-  auto accumulate_loss = [](const std::vector<nn::Var>& outputs) {
-    nn::Var loss = nn::sum(outputs.front());
-    for (std::size_t t = 1; t < outputs.size(); ++t) loss = nn::add(loss, nn::sum(outputs[t]));
-    return loss;
+  r.shape = "fwd+bwd " + lstm_shape(T, B, in, hidden, out) + " stride=" + std::to_string(stride);
+  r.flops_per_call = lstm_train_flops(steps, B, in, hidden, out);
+  auto train = [&](const nn::Var& y) {
+    nn::sum(y).backward();
+    series.zero_grad();
+    cond.zero_grad();
+    lstm.zero_grad();
   };
-  auto zero_params = [&] {
-    for (nn::Var& p : lstm.parameters()) p.zero_grad();
-  };
-  const std::vector<nn::Var> params = lstm.cell().parameters();  // weight_x, weight_h, bias
-  r.seconds_ref = time_kernel([&] {
-    zero_params();
-    nn::Var all = nn::concat_axis(inputs, /*axis=*/0);
-    nn::Var all_proj = lstm.cell().project_input(all);
-    nn::LstmState state = lstm.cell().initial_state(B);
-    std::vector<nn::Var> outputs;
-    for (long t = 0; t < T; ++t) {
-      nn::Var x_proj = nn::slice_axis(all_proj, /*axis=*/0, t * B, B);
-      state = reference::lstm_step_unfused(x_proj, state, params[1], params[2]);
-      outputs.push_back(lstm.head().forward(state.h));
-    }
-    accumulate_loss(outputs).backward();
-  });
-  r.seconds_new = time_kernel([&] {
-    zero_params();
-    accumulate_loss(lstm.forward(inputs)).backward();
-  });
+  time_pairs(
+      r, [&] { train(reference::lstm_critique_graph(params, series, cond, stride)); },
+      [&] { train(lstm.critique(series, cond, stride)); });
   return r;
 }
 
@@ -278,8 +301,7 @@ KernelResult bench_rfft_pow2(const std::string& name, long n) {
   r.shape = "rfft N=" + std::to_string(n);
   const double nd = static_cast<double>(n);
   r.flops_per_call = 5.0 * nd * std::log2(nd);
-  r.seconds_ref = time_kernel([&] { reference::rfft_bluestein(x); });
-  r.seconds_new = time_kernel([&] { dsp::rfft(x); });
+  time_pairs(r, [&] { reference::rfft_bluestein(x); }, [&] { dsp::rfft(x); });
   return r;
 }
 
@@ -310,10 +332,12 @@ KernelResult bench_irfft_bridge(const std::string& name, long n, long lanes, lon
             std::to_string(bins) + " bins stride " + std::to_string(stride);
   const double nd = static_cast<double>(n);
   r.flops_per_call = static_cast<double>(lanes) * 5.0 * nd * std::log2(nd);
-  r.seconds_ref = time_kernel([&] {
-    for (const std::vector<dsp::Complex>& spec : spectra) reference::irfft(spec, n);
-  });
-  r.seconds_new = time_kernel([&] { dsp::irfft_lanes(re.data(), im.data(), n, lanes, x.data()); });
+  time_pairs(
+      r,
+      [&] {
+        for (const std::vector<dsp::Complex>& spec : spectra) reference::irfft(spec, n);
+      },
+      [&] { dsp::irfft_lanes(re.data(), im.data(), n, lanes, x.data()); });
   return r;
 }
 
@@ -334,10 +358,12 @@ KernelResult bench_rfft_targets(const std::string& name, long n, long lanes) {
   r.shape = "rfft N=" + std::to_string(n) + " x" + std::to_string(lanes) + " lanes";
   const double nd = static_cast<double>(n);
   r.flops_per_call = static_cast<double>(lanes) * 5.0 * nd * std::log2(nd);
-  r.seconds_ref = time_kernel([&] {
-    for (const std::vector<double>& s : series) reference::rfft(s);
-  });
-  r.seconds_new = time_kernel([&] { dsp::rfft_lanes(x.data(), n, lanes, re.data(), im.data()); });
+  time_pairs(
+      r,
+      [&] {
+        for (const std::vector<double>& s : series) reference::rfft(s);
+      },
+      [&] { dsp::rfft_lanes(x.data(), n, lanes, re.data(), im.data()); });
   return r;
 }
 
@@ -356,7 +382,7 @@ void emit_json(const std::vector<KernelResult>& results, const std::string& path
                  "     \"seconds_ref\": %.9f, \"seconds_new\": %.9f,\n"
                  "     \"gflops_ref\": %.3f, \"gflops_new\": %.3f, \"speedup\": %.3f}%s\n",
                  r.name.c_str(), r.shape.c_str(), r.flops_per_call, r.seconds_ref, r.seconds_new,
-                 r.gflops(r.seconds_ref), r.gflops(r.seconds_new), r.speedup(),
+                 r.gflops(r.seconds_ref), r.gflops(r.seconds_new), r.speedup,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -385,10 +411,11 @@ int main() {
   results.push_back(bench_conv_forward("conv_fwd_encoder2_s2", 6, 24, 8, 8, 16, 3, 2, 1));
   results.push_back(bench_conv_forward("conv_fwd_spectrum_out", 6, 32, 4, 4, 56, 3, 1, 1));
   results.push_back(bench_conv_train_step("conv_train_encoder1", 6, 27, 8, 8, 24, 3, 1, 1));
-  // Full recurrent training step at G^t shape: batched+fused vs the
-  // per-step unfused path, plus the fusion win in isolation.
-  results.push_back(bench_lstm_train_step("lstm_train_gt", 168, 6, 28, 24, 16));
-  results.push_back(bench_lstm_fused_train("lstm_fused_train", 168, 6, 28, 24, 16));
+  // Recurrent training steps through the LSTM sequence op against the
+  // per-step graph: G^t (generation form, T = 168, B = 6, 24 + 4 inputs,
+  // 16 pixels out) and R^t (critic form at stride 2 over 16 pixels).
+  results.push_back(bench_lstm_train_gt("lstm_train_gt", 168, 6, 24, 24, 16));
+  results.push_back(bench_lstm_train_rt("lstm_train_rt", 168, 2, 6, 16, 24, 24, 1));
   // Real-input FFT: the 512-point pow2 fast path against Bluestein, and
   // the lane-batched transforms of the irfft bridge (T = 504, k = 3,
   // 28 bins) and of the spectrum targets (T = 168) at 16 pixels.
@@ -400,7 +427,7 @@ int main() {
               "ref GF/s", "new GF/s", "speedup");
   for (const KernelResult& r : results) {
     std::printf("%-28s %-14.3e %-14.3e %-10.2f %-10.2f %.2fx\n", r.name.c_str(), r.seconds_ref,
-                r.seconds_new, r.gflops(r.seconds_ref), r.gflops(r.seconds_new), r.speedup());
+                r.seconds_new, r.gflops(r.seconds_ref), r.gflops(r.seconds_new), r.speedup);
   }
 
   emit_json(results, env_string("SPECTRA_BENCH_OUT", "BENCH_KERNELS.json"));

@@ -26,13 +26,13 @@ Conv3dLstm::Conv3dLstm(const core::SpectraGanConfig& config)
   // Day clock only: the video-generation lineage this baseline stands in
   // captures short-term correlations (the paper's critique); weekly
   // structure must come from its recurrent state, where it struggles.
-  gen_cell_ = std::make_unique<nn::ConvLSTMCell>(
+  gen_cell_ = std::make_unique<nn::ConvLstmCell>(
       config_.hidden_channels + config_.noise_channels + 2, conv_hidden_, 3, model_rng_);
   gen_head_ = std::make_unique<nn::Conv2dLayer>(conv_hidden_, 1, 1,
                                                 nn::Conv2dSpec{.stride = 1, .padding = 0},
                                                 model_rng_);
   encoder_r_ = std::make_unique<core::ContextEncoder>(config_, model_rng_);
-  disc_cell_ = std::make_unique<nn::ConvLSTMCell>(1 + config_.hidden_channels, conv_hidden_, 3,
+  disc_cell_ = std::make_unique<nn::ConvLstmCell>(1 + config_.hidden_channels, conv_hidden_, 3,
                                                   model_rng_);
   disc_head_ = std::make_unique<nn::Linear>(
       conv_hidden_ * config_.patch.traffic_h * config_.patch.traffic_w, 1, model_rng_);

@@ -36,10 +36,10 @@ class Conv3dLstm : public TrafficGenerator {
   long disc_stride_ = 4;     // discriminator samples every k-th frame
 
   std::unique_ptr<core::ContextEncoder> encoder_g_;
-  std::unique_ptr<nn::ConvLSTMCell> gen_cell_;
+  std::unique_ptr<nn::ConvLstmCell> gen_cell_;
   std::unique_ptr<nn::Conv2dLayer> gen_head_;  // hidden -> 1 channel frame
   std::unique_ptr<core::ContextEncoder> encoder_r_;
-  std::unique_ptr<nn::ConvLSTMCell> disc_cell_;
+  std::unique_ptr<nn::ConvLstmCell> disc_cell_;
   std::unique_ptr<nn::Linear> disc_head_;
 };
 

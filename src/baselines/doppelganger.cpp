@@ -25,8 +25,7 @@ DoppelGanger::DoppelGanger(const core::SpectraGanConfig& config)
                                    nn::Activation::kLeakyRelu, nn::Activation::kNone, model_rng_);
   embed_d_ = std::make_unique<nn::Mlp>(std::vector<long>{C, config_.cond_dim},
                                        nn::Activation::kNone, nn::Activation::kTanh, model_rng_);
-  disc_cell_ = std::make_unique<nn::LSTMCell>(1 + config_.cond_dim, config_.lstm_hidden, model_rng_);
-  disc_head_ = std::make_unique<nn::Linear>(config_.lstm_hidden, 1, model_rng_);
+  disc_ = std::make_unique<nn::Lstm>(1 + config_.cond_dim, config_.lstm_hidden, 1, model_rng_);
 }
 
 Var DoppelGanger::condition(const Var& pixel_context, const Var& noise) const {
@@ -35,18 +34,10 @@ Var DoppelGanger::condition(const Var& pixel_context, const Var& noise) const {
 
 Var DoppelGanger::series_forward(const Var& cond, long steps) const {
   const long batch = cond.value().dim(0);
-  if (nn::InferenceGuard::active()) {
-    // [B, steps, 1] -> [B, steps], off the graph like TimeGenerator.
-    return Var::constant(
-        gen_->infer(cond.value(), core::clock_table(steps, config_.steps_per_day,
-                                                    /*include_week=*/false))
-            .reshaped({batch, steps}));
-  }
-  // [steps][B,1] -> [B, steps].
-  const std::vector<Var> outputs =
-      gen_->forward(core::time_encoded_inputs(cond, steps, config_.steps_per_day,
-                                              /*include_week=*/false));
-  return nn::reshape(nn::transpose01(nn::stack0(outputs)), {batch, steps});
+  // [B, steps, 1] -> [B, steps].
+  return nn::reshape(
+      gen_->generate(cond, core::clock_table(steps, config_.steps_per_day, /*include_week=*/false)),
+      {batch, steps});
 }
 
 Var DoppelGanger::amplitude_forward(const Var& pixel_context, const Var& amp_noise) const {
@@ -111,25 +102,17 @@ void DoppelGanger::fit(const data::CountryDataset& dataset,
     g_params.insert(g_params.end(), sub.begin(), sub.end());
   }
   std::vector<Var> d_params = embed_d_->parameters();
-  for (const nn::Module* m : {static_cast<const nn::Module*>(disc_cell_.get()),
-                              static_cast<const nn::Module*>(disc_head_.get())}) {
-    const std::vector<Var> sub = m->parameters();
-    d_params.insert(d_params.end(), sub.begin(), sub.end());
-  }
+  const std::vector<Var> critic_params = disc_->parameters();
+  d_params.insert(d_params.end(), critic_params.begin(), critic_params.end());
   nn::Adam opt_g(g_params, config_.lr_generator, 0.5f, 0.999f);
   nn::Adam opt_d(d_params, config_.lr_discriminator, 0.5f, 0.999f);
 
+  // Mean of the per-step critic outputs over the [B, T] series, read as
+  // [B, T, 1].
   auto disc_logits = [&](const Var& series, const Var& cond_d) {
-    nn::LstmState state = disc_cell_->initial_state(series.value().dim(0));
-    Var logit_sum;
+    const long batch = series.value().dim(0);
     const long steps = series.value().dim(1);
-    for (long t = 0; t < steps; ++t) {
-      Var x_t = nn::slice_axis(series, 1, t, 1);  // [B,1]
-      state = disc_cell_->step(nn::concat_axis({x_t, cond_d}, 1), state);
-      Var logit = disc_head_->forward(state.h);
-      logit_sum = logit_sum.defined() ? nn::add(logit_sum, logit) : logit;
-    }
-    return nn::mul_scalar(logit_sum, 1.0f / static_cast<float>(steps));
+    return disc_->critique(nn::reshape(series, {batch, steps, 1}), cond_d, /*stride=*/1);
   };
 
   for (long it = 0; it < config_.iterations; ++it) {

@@ -53,8 +53,7 @@ class DoppelGanger : public TrafficGenerator {
   std::unique_ptr<nn::Lstm> gen_;    // cond -> per-step scalar
   std::unique_ptr<nn::Mlp> amp_;     // context+noise -> series amplitude
   std::unique_ptr<nn::Mlp> embed_d_; // discriminator-side context embedding
-  std::unique_ptr<nn::LSTMCell> disc_cell_;
-  std::unique_ptr<nn::Linear> disc_head_;
+  std::unique_ptr<nn::Lstm> disc_;   // critic over [series step, cond]
 };
 
 }  // namespace spectra::baselines

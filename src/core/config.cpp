@@ -16,8 +16,9 @@ void SpectraGanConfig::validate() const {
   SG_CHECK(spectrum_bins >= 2 && spectrum_bins <= full_bins(),
            "spectrum_bins must be in [2, train_steps/2+1]");
   SG_CHECK(lstm_hidden > 0 && cond_dim > 0, "invalid recurrent sizes");
-  // nn::Lstm::infer splits the recurrent generators' input projection at
-  // cond_dim; that equals the training graph's one GEMM only while the
+  SG_CHECK(disc_time_stride >= 1, "disc_time_stride must be at least 1");
+  // nn::Lstm::generate splits the recurrent generators' input projection
+  // at cond_dim; that equals the per-step graph's one GEMM only while the
   // input fits a single GEMM k block.
   SG_CHECK(cond_dim + kTimeFeatures <= nn::gemm::kKC,
            "cond_dim + time features must not exceed the GEMM k block (nn::gemm::kKC)");

@@ -24,35 +24,21 @@ TimeDiscriminator::TimeDiscriminator(const SpectraGanConfig& config, Rng& rng)
       stride_(config.disc_time_stride),
       cond_input_(config.hidden_channels * pixels_),
       condition_(cond_input_, config.cond_dim, rng),
-      cell_(pixels_ + config.cond_dim, config.lstm_hidden, rng),
-      head_(config.lstm_hidden, 1, rng) {
+      lstm_(pixels_ + config.cond_dim, config.lstm_hidden, 1, rng) {
   register_child(condition_);
-  register_child(cell_);
-  register_child(head_);
+  register_child(lstm_);
 }
 
 nn::Var TimeDiscriminator::forward(const nn::Var& traffic, const nn::Var& hidden) const {
   SG_CHECK(traffic.value().rank() == 3, "TimeDiscriminator expects [B, T, P]");
   const long batch = traffic.value().dim(0);
-  const long steps = traffic.value().dim(1);
   SG_CHECK(traffic.value().dim(2) == pixels_, "TimeDiscriminator pixel count mismatch");
 
   nn::Var cond =
       nn::vtanh(condition_.forward(nn::reshape(hidden, {batch, cond_input_})));
-
-  nn::LstmState state = cell_.initial_state(batch);
-  nn::Var logit_sum;
-  long counted = 0;
   // Critiquing every stride_-th step keeps the full temporal span in view
   // at a fraction of the recurrent cost.
-  for (long t = 0; t < steps; t += stride_) {
-    nn::Var x_t = nn::reshape(nn::slice_axis(traffic, /*axis=*/1, t, 1), {batch, pixels_});
-    state = cell_.step(nn::concat_axis({x_t, cond}, /*axis=*/1), state);
-    nn::Var logit_t = head_.forward(state.h);
-    logit_sum = logit_sum.defined() ? nn::add(logit_sum, logit_t) : logit_t;
-    ++counted;
-  }
-  return nn::mul_scalar(logit_sum, 1.0f / static_cast<float>(counted));
+  return lstm_.critique(traffic, cond, stride_);
 }
 
 }  // namespace spectra::core

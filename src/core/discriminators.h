@@ -39,8 +39,7 @@ class TimeDiscriminator : public nn::Module {
   long stride_;
   long cond_input_;
   nn::Linear condition_;
-  nn::LSTMCell cell_;
-  nn::Linear head_;
+  nn::Lstm lstm_;  // critic form over [traffic step, cond]
 };
 
 }  // namespace spectra::core

@@ -1,6 +1,5 @@
 #include "core/time_generator.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
@@ -26,23 +25,6 @@ nn::Tensor clock_table(long steps, long steps_per_day, bool include_week) {
   return table;
 }
 
-std::vector<nn::Var> time_encoded_inputs(const nn::Var& cond, long steps, long steps_per_day,
-                                         bool include_week) {
-  const nn::Tensor table = clock_table(steps, steps_per_day, include_week);
-  const long batch = cond.value().dim(0);
-  std::vector<nn::Var> inputs;
-  inputs.reserve(static_cast<std::size_t>(steps));
-  for (long t = 0; t < steps; ++t) {
-    const float* row = table.data() + t * kTimeFeatures;
-    nn::Tensor clock({batch, kTimeFeatures});
-    for (long b = 0; b < batch; ++b) {
-      std::copy(row, row + kTimeFeatures, clock.data() + b * kTimeFeatures);
-    }
-    inputs.push_back(nn::concat_axis({cond, nn::Var::constant(std::move(clock))}, 1));
-  }
-  return inputs;
-}
-
 TimeGenerator::TimeGenerator(const SpectraGanConfig& config, Rng& rng)
     : pixels_(config.patch.traffic_h * config.patch.traffic_w),
       steps_per_day_(config.steps_per_day),
@@ -59,13 +41,7 @@ nn::Var TimeGenerator::forward(const nn::Var& hidden, const nn::Var& noise, long
   const long batch = hidden.value().dim(0);
   nn::Var flat = nn::reshape(nn::concat_axis({hidden, noise}, /*axis=*/1), {batch, cond_input_});
   nn::Var cond = nn::vtanh(condition_.forward(flat));
-  if (nn::InferenceGuard::active()) {
-    return nn::Var::constant(lstm_.infer(cond.value(), clock_table(steps, steps_per_day_)));
-  }
-  const std::vector<nn::Var> outputs =
-      lstm_.forward(time_encoded_inputs(cond, steps, steps_per_day_));
-  // [steps, B, P] -> [B, steps, P].
-  return nn::transpose01(nn::stack0(outputs));
+  return lstm_.generate(cond, clock_table(steps, steps_per_day_));
 }
 
 }  // namespace spectra::core

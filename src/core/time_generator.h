@@ -25,20 +25,13 @@ inline constexpr long kTimeFeatures = 4;
 // handing them the weekly clock would erase the effect under study.
 nn::Tensor clock_table(long steps, long steps_per_day, bool include_week = true);
 
-// Per-step graph inputs for training: step t's input is [cond, clock row
-// t]. Inference feeds cond and the clock table to nn::Lstm::infer
-// instead, which reads the same values.
-std::vector<nn::Var> time_encoded_inputs(const nn::Var& cond, long steps, long steps_per_day,
-                                         bool include_week = true);
-
 class TimeGenerator : public nn::Module {
  public:
   TimeGenerator(const SpectraGanConfig& config, Rng& rng);
 
   // hidden: [B, C_h, Ht, Wt]; noise: [B, Z, Ht, Wt].
-  // Returns the residual traffic [B, steps, P] with P = Ht*Wt. Under
-  // nn::InferenceGuard the recurrence runs off the graph (Lstm::infer),
-  // with the same output bits.
+  // Returns the residual traffic [B, steps, P] with P = Ht*Wt: the LSTM's
+  // generation form, step t's input being [cond, clock row t].
   nn::Var forward(const nn::Var& hidden, const nn::Var& noise, long steps) const;
 
  private:

@@ -52,10 +52,8 @@ void sgemm(Trans ta, Trans tb, long m, long n, long k, const float* a, long lda,
 
 // Arena slots per workspace: slot 0 is reserved for sgemm's packed-B
 // panels; conv2d lowering uses slots 1 (im2col columns) and 2 (backward
-// dcol); the fused LSTM recurrence uses slot 3 for its [B,4H] gate
-// pre-activations (forward) and gate gradients (backward) — disjoint
-// from slot 0, which its nested sgemm calls consume.
-inline constexpr int kScratchSlots = 4;
+// dcol).
+inline constexpr int kScratchSlots = 3;
 
 // A set of monotonically-growing scratch arenas. One thread-local
 // instance backs `scratch` by default; the serve layer keeps a pool of

@@ -1,6 +1,7 @@
-// Recurrent layers: LSTMCell/LSTM (batched, as used by the SpectraGAN
-// residual time-series generator and time discriminator, §2.2.2–2.2.3)
-// and ConvLSTMCell (for the Conv{3D+LSTM} baseline, §3.3).
+// Recurrent layers: Lstm, the sequence op of the SpectraGAN residual
+// time-series generator and time critic (§2.2.2–2.2.3) and of the
+// DoppelGANger baseline, and ConvLstmCell (for the Conv{3D+LSTM}
+// baseline, §3.3).
 
 #pragma once
 
@@ -17,72 +18,52 @@ struct LstmState {
   Var c;
 };
 
-// Standard LSTM cell (Hochreiter & Schmidhuber 1997) with fused gate
-// projection: gates = x Wx + h Wh + b, split into i, f, g, o.
-class LSTMCell : public Module {
+// Standard LSTM (Hochreiter & Schmidhuber 1997) with a per-step linear
+// head: gates = x W_x + h W_h + b, split into i, f, g, o, and y = h W_out
+// + b_out. A whole sequence is one autograd op: the forward runs the
+// recurrence off the graph, and the backward is BPTT in one closure that
+// replays the per-step graph's accumulation order, so values and
+// gradients are bitwise those of the op-by-op composition
+// (tests/reference/lstm_reference, DESIGN §6c). Under InferenceGuard the
+// op saves nothing and allocates nothing per step.
+class Lstm : public Module {
  public:
-  LSTMCell(long input_size, long hidden_size, Rng& rng);
+  // The head's activation is kNone or kSigmoid.
+  Lstm(long input_size, long hidden_size, long output_size, Rng& rng,
+       Activation output_activation = Activation::kNone);
 
-  // Zero state for batch size B (constants; no gradient).
-  LstmState initial_state(long batch) const;
+  // Generation form: row b's input at step t is [cond[b], clock[t]],
+  // with cond [B, D] and the clock table [T, F] shared by every row;
+  // D + F is the input size and at most gemm::kKC. Returns the head
+  // outputs [B, T, out].
+  Var generate(const Var& cond, const Tensor& clock) const;
 
-  // One step: x is [B, input_size]; returns the new state.
-  LstmState step(const Var& x, const LstmState& state) const;
-
-  // Input projection x·Wx as one GEMM. `x` may batch several timesteps
-  // as [T·B, input_size]; slice the result per step and feed it to
-  // step_projected. Lstm::forward uses this to turn T small per-step
-  // matmuls into a single [T·B, 4H] product.
-  Var project_input(const Var& x) const;
-
-  // One step from a precomputed input projection ([B, 4*hidden]). Runs
-  // the fused gate kernel (ops.h lstm_fused_step): one autograd node
-  // pair per step instead of the ~12-node op composition.
-  LstmState step_projected(const Var& x_proj, const LstmState& state) const;
-
-  long input_size() const { return input_size_; }
-  long hidden_size() const { return hidden_size_; }
+  // Critic form: row b's input at step k is [series[b, k·stride, :],
+  // cond[b]], with series [B, T, S], cond [B, D], S + D the input size
+  // and stride >= 1. Returns the mean of the ceil(T / stride) per-step
+  // head outputs, [B, out]: summed step-ascending, then scaled by
+  // 1/steps.
+  Var critique(const Var& series, const Var& cond, long stride) const;
 
  private:
   long input_size_;
   long hidden_size_;
-  Var weight_x_;  // [input, 4*hidden]
-  Var weight_h_;  // [hidden, 4*hidden]
-  Var bias_;      // [4*hidden] (forget-gate slice initialized to 1)
-};
-
-// Multi-step LSTM with a per-step linear head. Consumes a sequence of
-// [B, input] vars and emits a sequence of [B, output] vars.
-class Lstm : public Module {
- public:
-  Lstm(long input_size, long hidden_size, long output_size, Rng& rng,
-       Activation output_activation = Activation::kNone);
-
-  // Run over `inputs` (each [B, input]); returns per-step outputs.
-  std::vector<Var> forward(const std::vector<Var>& inputs) const;
-
-  // Inference-only recurrence for clock-conditioned generation: row b's
-  // input at step t is [row_input[b], step_input[t]], with row_input
-  // [B, D], step_input [T, F] shared by every row and D + F the input
-  // size. Returns [B, T, output], bitwise equal to forward() over those
-  // inputs followed by stack0/transpose01 (DESIGN §6c). Builds no graph
-  // and allocates nothing per step. Requires D + F <= gemm::kKC.
-  Tensor infer(const Tensor& row_input, const Tensor& step_input) const;
-
-  const LSTMCell& cell() const { return cell_; }
-  const Linear& head() const { return head_; }
-
- private:
-  LSTMCell cell_;
-  Linear head_;
+  long output_size_;
   Activation output_activation_;
+  // Registered W_x, W_h, b, W_out, b_out: the order fixes the RNG draws
+  // and the serialized parameter layout.
+  Var weight_x_;    // [input, 4*hidden]
+  Var weight_h_;    // [hidden, 4*hidden]
+  Var bias_;        // [4*hidden] (forget-gate slice initialized to 1)
+  Var weight_out_;  // [hidden, output]
+  Var bias_out_;    // [output]
 };
 
 // Convolutional LSTM cell (Shi et al. 2015): gates are convolutions over
 // the channel-concatenated [x, h] feature map. States are [B, hidden, H, W].
-class ConvLSTMCell : public Module {
+class ConvLstmCell : public Module {
  public:
-  ConvLSTMCell(long input_channels, long hidden_channels, long kernel, Rng& rng);
+  ConvLstmCell(long input_channels, long hidden_channels, long kernel, Rng& rng);
 
   LstmState initial_state(long batch, long height, long width) const;
 

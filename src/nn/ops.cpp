@@ -441,184 +441,6 @@ Var linear(const Var& x, const Var& weight, const Var& bias) {
   return add_rowvec(matmul(x, weight), bias);
 }
 
-namespace {
-
-// Scratch slot the fused LSTM borrows from the GEMM workspace (gemm.h):
-// [B,4H] gate pre-activations on the forward pass, [B,4H] gate
-// gradients on the backward pass. Disjoint from slot 0, which the
-// nested sgemm calls consume while the slot-3 contents are live.
-constexpr int kLstmScratchSlot = 3;
-
-}  // namespace
-
-std::pair<Var, Var> lstm_fused_step(const Var& x_proj, const Var& h_prev, const Var& c_prev,
-                                    const Var& weight_h, const Var& bias) {
-  const Tensor& xp = x_proj.value();
-  const Tensor& hp = h_prev.value();
-  const Tensor& cpv = c_prev.value();
-  const Tensor& wh = weight_h.value();
-  const Tensor& bv = bias.value();
-  SG_CHECK(xp.rank() == 2 && hp.rank() == 2 && cpv.rank() == 2,
-           "lstm_fused_step expects rank-2 x_proj/h_prev/c_prev");
-  const long batch = xp.dim(0);
-  const long hidden = hp.dim(1);
-  const long gates = 4 * hidden;
-  SG_CHECK(xp.dim(1) == gates, "lstm_fused_step x_proj must be [B, 4*hidden]");
-  SG_CHECK(hp.dim(0) == batch && cpv.dim(0) == batch && cpv.dim(1) == hidden,
-           "lstm_fused_step state shape mismatch");
-  SG_CHECK(wh.rank() == 2 && wh.dim(0) == hidden && wh.dim(1) == gates,
-           "lstm_fused_step weight_h must be [hidden, 4*hidden]");
-  SG_CHECK(bv.rank() == 1 && bv.dim(0) == gates, "lstm_fused_step bias must be [4*hidden]");
-
-  // Gate pre-activations z = (x_proj + h_prev·Wh) + b — the same
-  // association order as the unfused add(x_proj, matmul(h, Wh)) followed
-  // by add_rowvec. The recurrent product lands in workspace scratch, not
-  // a fresh tensor.
-  float* pre = gemm::scratch(kLstmScratchSlot, static_cast<std::size_t>(batch * gates));
-  gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kNo, batch, gates, hidden, hp.data(), hidden,
-              wh.data(), gates, pre, gates, /*accumulate=*/false);
-
-  // Activated gates [B,4H] (columns i|f|g|o) and tanh(c) are the only
-  // forward products backward needs; both are shared by the two nodes.
-  auto acts = std::make_shared<Tensor>(Shape{batch, gates});
-  auto tanh_c = std::make_shared<Tensor>(Shape{batch, hidden});
-  Tensor c_out(Shape{batch, hidden});
-  Tensor h_out(Shape{batch, hidden});
-  // Passes over each row: pre-activation, the gate activations in place
-  // (act:: runs them at the SIMD level's width, bitwise equal to the
-  // scalar sigmoid/vtanh ops), then the cell update; tanh(c) and h
-  // follow over the whole [B,H] block.
-  const auto h = static_cast<std::size_t>(hidden);
-  for (long r = 0; r < batch; ++r) {
-    const float* xrow = xp.data() + r * gates;
-    const float* prow = pre + r * gates;
-    float* arow = acts->data() + r * gates;
-    for (long j = 0; j < gates; ++j) arow[j] = (xrow[j] + prow[j]) + bv[j];
-    act::sigmoid(arow, arow, 2 * h);
-    act::tanh(arow + 2 * h, arow + 2 * h, h);
-    act::sigmoid(arow + 3 * h, arow + 3 * h, h);
-    const float* cprow = cpv.data() + r * hidden;
-    float* crow = c_out.data() + r * hidden;
-    for (long j = 0; j < hidden; ++j) {
-      crow[j] = (arow[hidden + j] * cprow[j]) + (arow[j] * arow[2 * hidden + j]);
-    }
-  }
-  act::tanh(c_out.data(), tanh_c->data(), static_cast<std::size_t>(batch) * h);
-  for (long r = 0; r < batch; ++r) {
-    const float* orow = acts->data() + r * gates + 3 * hidden;
-    const float* tcrow = tanh_c->data() + r * hidden;
-    float* hrow = h_out.data() + r * hidden;
-    for (long j = 0; j < hidden; ++j) hrow[j] = orow[j] * tcrow[j];
-  }
-
-  // Side-channel from the h node's backward into the c node's backward:
-  // the o-gate gradient needs dL/dh. The h node is the c node's consumer,
-  // so its closure is guaranteed to run first and stash dh here; rank
-  // stays 0 when h never receives gradient (e.g. an unused final state),
-  // in which case the o-gate gradient is exactly zero — matching the
-  // unfused graph, where the o-sigmoid node would be unreachable.
-  auto dh_buf = std::make_shared<Tensor>();
-
-  Var c_var = Var::make_op(
-      std::move(c_out), {x_proj, h_prev, weight_h, bias, c_prev},
-      [batch, hidden, gates, acts, tanh_c, dh_buf](const Tensor& dc, std::vector<Var>& parents) {
-        Var& p_xproj = parents[0];
-        Var& p_hprev = parents[1];
-        Var& p_wh = parents[2];
-        Var& p_bias = parents[3];
-        Var& p_cprev = parents[4];
-        const bool have_dh = dh_buf->rank() == 2;
-        const Tensor& cp = p_cprev.value();
-        // Assemble the gate pre-activation gradients dgates [B,4H]; each
-        // expression replays the unfused mul→activation backward chain
-        // exactly (ops.h contract).
-        float* dgates = gemm::scratch(kLstmScratchSlot, static_cast<std::size_t>(batch * gates));
-        for (long r = 0; r < batch; ++r) {
-          const float* arow = acts->data() + r * gates;
-          const float* tcrow = tanh_c->data() + r * hidden;
-          const float* dcrow = dc.data() + r * hidden;
-          const float* cprow = cp.data() + r * hidden;
-          const float* dhrow = have_dh ? dh_buf->data() + r * hidden : nullptr;
-          float* drow = dgates + r * gates;
-          for (long j = 0; j < hidden; ++j) {
-            const float iv = arow[j];
-            const float fv = arow[hidden + j];
-            const float gv = arow[2 * hidden + j];
-            const float ov = arow[3 * hidden + j];
-            const float dcv = dcrow[j];
-            drow[j] = (dcv * gv) * (iv * (1.0f - iv));
-            drow[hidden + j] = (dcv * cprow[j]) * (fv * (1.0f - fv));
-            drow[2 * hidden + j] = (dcv * iv) * (1.0f - gv * gv);
-            drow[3 * hidden + j] = have_dh ? (dhrow[j] * tcrow[j]) * (ov * (1.0f - ov)) : 0.0f;
-          }
-        }
-        if (p_xproj.requires_grad()) {
-          Tensor& gx = p_xproj.grad_storage();
-          const long n = batch * gates;
-          for (long idx = 0; idx < n; ++idx) gx[idx] += dgates[idx];
-        }
-        if (p_hprev.requires_grad()) {
-          // dh_prev += dgates · Whᵀ — the matmul-backward NT product.
-          Tensor& gh = p_hprev.grad_storage();
-          gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kTrans, batch, hidden, gates, dgates, gates,
-                      p_wh.value().data(), gates, gh.data(), hidden, /*accumulate=*/true);
-        }
-        if (p_wh.requires_grad()) {
-          // dWh += h_prevᵀ · dgates — the matmul-backward TN product.
-          Tensor& gw = p_wh.grad_storage();
-          gemm::sgemm(gemm::Trans::kTrans, gemm::Trans::kNo, hidden, gates, batch,
-                      p_hprev.value().data(), hidden, dgates, gates, gw.data(), gates,
-                      /*accumulate=*/true);
-        }
-        if (p_bias.requires_grad()) {
-          // Column reduction parallelized over disjoint column slices;
-          // per-column order stays i-ascending — the add_rowvec backward.
-          Tensor& gb = p_bias.grad_storage();
-          float* pgb = gb.data();
-          const float* pg = dgates;
-          parallel_for(static_cast<std::size_t>(gates), /*grain=*/16,
-                       [&](std::size_t jb, std::size_t je) {
-                         for (long i = 0; i < batch; ++i) {
-                           const float* grow = pg + i * gates;
-                           for (std::size_t j = jb; j < je; ++j) {
-                             pgb[j] += grow[j];
-                           }
-                         }
-                       });
-        }
-        if (p_cprev.requires_grad()) {
-          Tensor& gcp = p_cprev.grad_storage();
-          for (long r = 0; r < batch; ++r) {
-            const float* arow = acts->data() + r * gates;
-            const float* dcrow = dc.data() + r * hidden;
-            float* grow = gcp.data() + r * hidden;
-            for (long j = 0; j < hidden; ++j) grow[j] += dcrow[j] * arow[hidden + j];
-          }
-        }
-      });
-
-  Var h_var = Var::make_op(
-      std::move(h_out), {c_var},
-      [batch, hidden, gates, acts, tanh_c, dh_buf](const Tensor& dh, std::vector<Var>& parents) {
-        if (!parents[0].requires_grad()) return;
-        *dh_buf = dh;  // stashed for the c node's o-gate gradient
-        // Tanh-path term of the cell gradient: dc += (dh ⊙ o)(1 − tanh²c)
-        // — the unfused mul-then-vtanh backward chain.
-        Tensor& gc = parents[0].grad_storage();
-        for (long r = 0; r < batch; ++r) {
-          const float* arow = acts->data() + r * gates;
-          const float* tcrow = tanh_c->data() + r * hidden;
-          const float* dhrow = dh.data() + r * hidden;
-          float* gcrow = gc.data() + r * hidden;
-          for (long j = 0; j < hidden; ++j) {
-            const float tc = tcrow[j];
-            gcrow[j] += (dhrow[j] * arow[3 * hidden + j]) * (1.0f - tc * tc);
-          }
-        }
-      });
-  return {h_var, c_var};
-}
-
 Var mse_loss(const Var& pred, const Var& target) {
   check_same_shape(pred, target, "mse_loss");
   Var diff = sub(pred, target);

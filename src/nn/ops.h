@@ -7,7 +7,6 @@
 
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "nn/autograd.h"
@@ -70,20 +69,6 @@ Var add_rowvec(const Var& a, const Var& bias);
 
 // Fully-connected layer primitive: x [B,in] * W [in,out] + b [out].
 Var linear(const Var& x, const Var& weight, const Var& bias);
-
-// Fused LSTM recurrence step (DESIGN §6c). Computes
-//   gates = (x_proj + h_prev·Wh) + b,  i|f|g|o = σ|σ|tanh|σ (gate cols),
-//   c = f⊙c_prev + i⊙g,  h = o⊙tanh(c)
-// in one pass and returns {h, c} as two autograd nodes instead of the
-// ~12-node unfused composition (add/add_rowvec/4×slice/4×activation/
-// 3×mul/add per step). Forward and backward reproduce the unfused
-// per-element arithmetic exactly — same expressions, same accumulation
-// order — so results and gradients are bitwise identical to composing
-// the individual ops (asserted by layers_test). x_proj is [B,4H]
-// (precomputed x·Wx, gate columns ordered i,f,g,o), h_prev/c_prev are
-// [B,H], weight_h is [H,4H], bias is [4H].
-std::pair<Var, Var> lstm_fused_step(const Var& x_proj, const Var& h_prev, const Var& c_prev,
-                                    const Var& weight_h, const Var& bias);
 
 // --- losses (mean-reduced scalars) ---
 Var mse_loss(const Var& pred, const Var& target);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -289,42 +290,67 @@ TEST(GradCheck, Conv2dStride2) {
       {x, w, b}, 1e-2f, 3e-2f);
 }
 
-TEST(GradCheck, LstmFusedStep) {
-  // Inputs x_proj [B,4H], h_prev, c_prev [B,H], W_h [H,4H], b [4H]. The
-  // loss weighs h and c unevenly so every gate's gradient path counts.
-  const long B = 3, H = 5;
+// Central differences for every parameter element of `module` against
+// the gradients backward() of `loss` deposits there.
+void check_parameter_gradients(const Module& module, const std::function<Var()>& loss,
+                               float eps = 1e-2f, float tol = 2e-2f) {
+  module.zero_grad();
+  loss().backward();
+  for (Var p : module.parameters()) {
+    const Tensor analytic = p.grad();
+    for (long i = 0; i < p.value().numel(); ++i) {
+      const float saved = p.value()[i];
+      p.value_mut()[i] = saved + eps;
+      const float up = loss().value()[0];
+      p.value_mut()[i] = saved - eps;
+      const float down = loss().value()[0];
+      p.value_mut()[i] = saved;
+      const float numeric = (up - down) / (2.0f * eps);
+      const float scale = std::max({1.0f, std::fabs(numeric), std::fabs(analytic[i])});
+      EXPECT_NEAR(analytic[i], numeric, tol * scale) << "parameter element " << i;
+    }
+  }
+}
+
+TEST(GradCheck, LstmGenerate) {
+  // cond [B, D] and a [T, F] clock through the generation form with a
+  // sigmoid head; the loss weighs every (row, step, output) unevenly.
+  const long B = 2, D = 2, F = 4, H = 3, T = 5, out = 2;
   Rng rng(11);
-  const std::vector<Tensor> inputs = {random_tensor({B, 4 * H}, rng), random_tensor({B, H}, rng),
-                                      random_tensor({B, H}, rng),
-                                      random_tensor({H, 4 * H}, rng, 0.5f),
-                                      random_tensor({4 * H}, rng, 0.5f)};
-  const Var h_weight = Var::constant(random_tensor({B, H}, rng));
-  const Var c_weight = Var::constant(random_tensor({B, H}, rng));
+  const Lstm lstm(D + F, H, out, rng, Activation::kSigmoid);
+  const Tensor clock = random_tensor({T, F}, rng);
+  const Tensor cond = random_tensor({B, D}, rng);
+  const Var weight = Var::constant(random_tensor({B, T, out}, rng));
+  check_gradients(
+      [&](const std::vector<Var>& in) { return sum(mul(lstm.generate(in[0], clock), weight)); },
+      {cond});
+  check_parameter_gradients(
+      lstm, [&] { return sum(mul(lstm.generate(Var::constant(cond), clock), weight)); });
+}
+
+TEST(GradCheck, LstmCritique) {
+  // A [B, T, S] series read at stride 2 (T = 5 leaves a partial stride)
+  // with cond [B, D] through the critic form.
+  const long B = 2, S = 2, D = 3, H = 3, T = 5, stride = 2;
+  Rng rng(13);
+  const Lstm lstm(S + D, H, 1, rng);
+  const Tensor series = random_tensor({B, T, S}, rng);
+  const Tensor cond = random_tensor({B, D}, rng);
+  const Var weight = Var::constant(random_tensor({B, 1}, rng));
   check_gradients(
       [&](const std::vector<Var>& in) {
-        auto [h, c] = lstm_fused_step(in[0], in[1], in[2], in[3], in[4]);
-        return add(sum(mul(h, h_weight)), sum(mul(c, c_weight)));
+        return sum(mul(lstm.critique(in[0], in[1], stride), weight));
       },
-      inputs);
-
-  // Loss through c only: h is unused, so the o-gate gradient is exactly 0.
-  auto c_only = [&](const std::vector<Var>& in) {
-    return sum(mul(lstm_fused_step(in[0], in[1], in[2], in[3], in[4]).second, c_weight));
-  };
-  check_gradients(c_only, inputs);
-  std::vector<Var> leaves;
-  for (const Tensor& t : inputs) leaves.push_back(Var::leaf(t));
-  c_only(leaves).backward();
-  for (long r = 0; r < B; ++r) {
-    for (long j = 3 * H; j < 4 * H; ++j) EXPECT_EQ(leaves[0].grad()[r * 4 * H + j], 0.0f);
-  }
-  for (long j = 3 * H; j < 4 * H; ++j) EXPECT_EQ(leaves[4].grad()[j], 0.0f);
+      {series, cond});
+  check_parameter_gradients(lstm, [&] {
+    return sum(mul(lstm.critique(Var::constant(series), Var::constant(cond), stride), weight));
+  });
 }
 
 TEST(GradCheck, ConvLstmStep) {
   // Inputs x [B,C,H,W], h_prev, c_prev [B,hidden,H,W] through one cell step.
   Rng rng(12);
-  const ConvLSTMCell cell(2, 3, 3, rng);
+  const ConvLstmCell cell(2, 3, 3, rng);
   const Var h_weight = Var::constant(random_tensor({1, 3, 4, 4}, rng));
   const Var c_weight = Var::constant(random_tensor({1, 3, 4, 4}, rng));
   check_gradients(

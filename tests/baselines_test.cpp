@@ -127,11 +127,12 @@ TEST(DoppelGangerTest, TrainsAndGenerates) {
   for (double v : out.values()) EXPECT_GE(v, 0.0);
 }
 
-// Golden digest of a small DoppelGANger city: generation runs the
-// clock-conditioned recurrence off the training graph (nn::Lstm::infer),
-// and its output bits must stay those the graph path produced when this
-// case was recorded (FNV-1a 64 of the city's doubles). The city spans
-// three 128-pixel generation chunks, the last one partial.
+// Golden digest of a small DoppelGANger city: fitting trains both LSTMs
+// through the sequence op's backward, generation runs it under
+// InferenceGuard, and the output bits must stay those the per-step graph
+// produced when this case was recorded (FNV-1a 64 of the city's
+// doubles). The city spans three 128-pixel generation chunks, the last
+// one partial.
 TEST(DoppelGangerTest, GeneratedCityMatchesGoldenDigest) {
   data::CountryDataset dataset = tiny_dataset();
   DoppelGanger model(tiny_config());

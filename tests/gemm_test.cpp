@@ -17,7 +17,6 @@
 #include "nn/conv.h"
 #include "nn/init.h"
 #include "nn/layers.h"
-#include "nn/lstm.h"
 #include "nn/ops.h"
 #include "obs/metrics.h"
 #include "util/error.h"
@@ -240,48 +239,6 @@ TEST(GemmTest, Im2colConvMatchesDirectAcrossGeometries) {
   expect_conv_impls_agree({2, 2, 6, 6, 3, 1, 2, 0});  // 1x1 but strided (col path)
   expect_conv_impls_agree({1, 2, 3, 3, 2, 5, 1, 2});  // kernel > input, padded
   expect_conv_impls_agree({2, 4, 8, 8, 6, 4, 3, 2});  // even kernel, coarse stride
-}
-
-// --- batched LSTM input projection ---
-
-TEST(GemmTest, BatchedLstmForwardMatchesPerStepReference) {
-  Rng rng(41);
-  const long T = 5, B = 3, in = 6, hidden = 4, out = 2;
-  Rng model_rng(77);
-  Lstm lstm(in, hidden, out, model_rng, Activation::kNone);
-
-  std::vector<Var> inputs;
-  for (long t = 0; t < T; ++t) {
-    inputs.push_back(Var::leaf(init::gaussian({B, in}, 1.0f, rng)));
-  }
-  const std::vector<Var> batched = lstm.forward(inputs);
-
-  // Per-step reference through the public single-step API (the pre-batch
-  // code path). The batched projection computes each row with the same
-  // reduction order, so outputs must match bitwise.
-  LstmState state = lstm.cell().initial_state(B);
-  ASSERT_EQ(batched.size(), static_cast<std::size_t>(T));
-  for (long t = 0; t < T; ++t) {
-    state = lstm.cell().step(inputs[static_cast<std::size_t>(t)], state);
-    const Tensor expected = lstm.head().forward(state.h).value();
-    const Tensor& got = batched[static_cast<std::size_t>(t)].value();
-    ASSERT_TRUE(got.same_shape(expected));
-    for (long i = 0; i < expected.numel(); ++i) {
-      ASSERT_EQ(got[i], expected[i]) << "step " << t << " flat index " << i;
-    }
-  }
-
-  // Gradients flow back through concat/slice to every step's input.
-  Var total = sum(batched[0]);
-  for (std::size_t t = 1; t < batched.size(); ++t) total = add(total, sum(batched[t]));
-  total.backward();
-  for (long t = 0; t < T; ++t) {
-    const Tensor& gx = inputs[static_cast<std::size_t>(t)].grad();
-    ASSERT_EQ(gx.numel(), B * in);
-    float norm = 0.0f;
-    for (long i = 0; i < gx.numel(); ++i) norm += gx[i] * gx[i];
-    EXPECT_GT(norm, 0.0f) << "no gradient reached step " << t << " input";
-  }
 }
 
 // --- steady-state allocation guarantee ---

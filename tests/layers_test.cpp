@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "core/config.h"
 #include "core/time_generator.h"
@@ -80,25 +81,30 @@ TEST(ConvStackTest, PreservesSpatialWithPadding) {
   EXPECT_EQ(y.value().dim(3), 7);
 }
 
-TEST(LstmCellTest, StepShapesAndStateEvolution) {
+TEST(LstmTest, FormsShapesAndBoundedOutputs) {
   Rng rng(7);
-  LSTMCell cell(5, 8, rng);
-  LstmState state = cell.initial_state(3);
-  EXPECT_EQ(state.h.value().dim(1), 8);
-  Var x = Var::constant(init::gaussian({3, 5}, 1.0f, rng));
-  LstmState next = cell.step(x, state);
-  EXPECT_EQ(next.h.value().dim(0), 3);
-  // Cell output bounded by tanh.
-  for (long i = 0; i < next.h.value().numel(); ++i) {
-    EXPECT_LE(std::fabs(next.h.value()[i]), 1.0f);
+  const Lstm lstm(5 + 4, 8, 3, rng, Activation::kSigmoid);
+  const Var cond = Var::constant(init::gaussian({2, 5}, 1.0f, rng));
+  const Var y = lstm.generate(cond, Tensor::full({7, 4}, 0.5f));
+  EXPECT_EQ(y.value().shape(), (Shape{2, 7, 3}));
+  for (long i = 0; i < y.value().numel(); ++i) {
+    EXPECT_GT(y.value()[i], 0.0f);
+    EXPECT_LT(y.value()[i], 1.0f);
   }
+  const Lstm critic(4 + 5, 8, 1, rng);
+  const Var series = Var::constant(init::gaussian({2, 7, 4}, 1.0f, rng));
+  EXPECT_EQ(critic.critique(series, cond, 2).value().shape(), (Shape{2, 1}));
+  EXPECT_THROW(critic.critique(series, cond, 0), spectra::Error);
+  EXPECT_THROW(critic.critique(series, cond, -1), spectra::Error);
+  EXPECT_THROW(Lstm(9, 8, 1, rng, Activation::kTanh), spectra::Error);
 }
 
-TEST(LstmCellTest, ForgetBiasInitializedToOne) {
+TEST(LstmTest, ForgetBiasInitializedToOne) {
   Rng rng(8);
-  LSTMCell cell(2, 4, rng);
-  const std::vector<Var> params = cell.parameters();
-  const Tensor& bias = params[2].value();  // wx, wh, bias registration order
+  const Lstm lstm(2, 4, 1, rng);
+  const std::vector<Var> params = lstm.parameters();
+  ASSERT_EQ(params.size(), 5u);  // W_x, W_h, b, W_out, b_out
+  const Tensor& bias = params[2].value();
   ASSERT_EQ(bias.numel(), 16);
   for (long i = 4; i < 8; ++i) EXPECT_FLOAT_EQ(bias[i], 1.0f);
   EXPECT_FLOAT_EQ(bias[0], 0.0f);
@@ -106,7 +112,7 @@ TEST(LstmCellTest, ForgetBiasInitializedToOne) {
 
 TEST(ConvLstmTest, StepPreservesGeometry) {
   Rng rng(10);
-  ConvLSTMCell cell(3, 5, 3, rng);
+  ConvLstmCell cell(3, 5, 3, rng);
   LstmState state = cell.initial_state(2, 4, 6);
   Var x = Var::constant(init::gaussian({2, 3, 4, 6}, 1.0f, rng));
   LstmState next = cell.step(x, state);
@@ -117,7 +123,7 @@ TEST(ConvLstmTest, StepPreservesGeometry) {
 
 TEST(ConvLstmTest, EvenKernelRejected) {
   Rng rng(11);
-  EXPECT_THROW(ConvLSTMCell(3, 5, 4, rng), spectra::Error);
+  EXPECT_THROW(ConvLstmCell(3, 5, 4, rng), spectra::Error);
 }
 
 TEST(OptimizerTest, SgdConvergesOnQuadratic) {
@@ -232,19 +238,13 @@ TEST_P(MlpWidthTest, FitsXorLikeTask) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, MlpWidthTest, testing::Values(4L, 8L, 16L));
 
-// --- fused LSTM recurrence vs the unfused op composition ---
-// The fused kernel (ops.h lstm_fused_step) claims bitwise-identical
-// forward values AND gradients: same per-element expressions, same
-// accumulation order as the add_rowvec/slice/sigmoid/tanh/mul chain.
-
-// The reference step over the cell's own recurrent weight and bias.
-LstmState unfused_step(const LSTMCell& cell, const Var& x_proj, const LstmState& state) {
-  const std::vector<Var> params = cell.parameters();  // weight_x, weight_h, bias
-  return reference::lstm_step_unfused(x_proj, state, params[1], params[2]);
-}
+// --- the LSTM sequence op vs the per-step reference graph ---
+// Lstm::generate and Lstm::critique replay the per-step graph's
+// accumulation order (tests/reference/lstm_reference), so the forward
+// and every gradient must match it bit for bit.
 
 // Equal bit patterns, so a zero of the wrong sign counts as a difference.
-void expect_bitwise(const Tensor& a, const Tensor& b, const char* what) {
+void expect_bitwise(const Tensor& a, const Tensor& b, const std::string& what) {
   ASSERT_EQ(a.shape(), b.shape()) << what;
   for (long i = 0; i < a.numel(); ++i) {
     ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]), std::bit_cast<std::uint32_t>(b[i]))
@@ -252,140 +252,163 @@ void expect_bitwise(const Tensor& a, const Tensor& b, const char* what) {
   }
 }
 
-TEST(LstmFusedTest, SingleStepMatchesUnfusedBitwise) {
-  Rng rng(41);
-  LSTMCell cell(7, 12, rng);
-  const long batch = 5;
-  const Tensor x_init = init::gaussian({batch, 7}, 1.0f, rng);
-  const Tensor h_init = init::gaussian({batch, 12}, 0.5f, rng);
-  const Tensor c_init = init::gaussian({batch, 12}, 0.5f, rng);
+// Random loss weights with an exact zero every third element, so some
+// gradients start from +0.
+Tensor loss_weights(const Shape& shape, Rng& rng) {
+  Tensor w = init::gaussian(shape, 1.0f, rng);
+  for (long i = 0; i < w.numel(); i += 3) w[i] = 0.0f;
+  return w;
+}
 
-  struct StepRun {
-    Tensor h, c, gx, gh0, gc0;
-    std::vector<Tensor> param_grads;
-  };
-  auto run = [&](bool fused) {
-    Var x = Var::leaf(x_init);
-    Var h0 = Var::leaf(h_init);
-    Var c0 = Var::leaf(c_init);
-    for (Var p : cell.parameters()) p.zero_grad();
-    LstmState state{h0, c0};
-    Var x_proj = cell.project_input(x);
-    LstmState next =
-        fused ? cell.step_projected(x_proj, state) : unfused_step(cell, x_proj, state);
-    // Loss touches both outputs so every gradient path (incl. the o-gate
-    // dh side-channel and the direct dc path) is exercised.
-    Var loss = add(sum(next.h), sum(next.c));
-    loss.backward();
-    StepRun r{next.h.value(), next.c.value(), x.grad(), h0.grad(), c0.grad(), {}};
-    for (const Var& p : cell.parameters()) r.param_grads.push_back(p.grad());
-    return r;
-  };
+// Forward value, input gradients and parameter gradients of one run.
+struct SequenceRun {
+  Tensor out;
+  std::vector<Tensor> grads;
+};
 
-  const StepRun unfused = run(false);
-  const StepRun fused = run(true);
-  expect_bitwise(unfused.h, fused.h, "h_next");
-  expect_bitwise(unfused.c, fused.c, "c_next");
-  expect_bitwise(unfused.gx, fused.gx, "grad x");
-  expect_bitwise(unfused.gh0, fused.gh0, "grad h_prev");
-  expect_bitwise(unfused.gc0, fused.gc0, "grad c_prev");
-  ASSERT_EQ(unfused.param_grads.size(), fused.param_grads.size());
-  for (std::size_t i = 0; i < unfused.param_grads.size(); ++i) {
-    expect_bitwise(unfused.param_grads[i], fused.param_grads[i], "cell param grad");
+// Runs `build` over fresh leaves of `inputs`, backpropagates the weighted
+// sum of its output and collects the leaves' gradients, then the
+// module's.
+template <class Build>
+SequenceRun run_sequence(const Lstm& lstm, const std::vector<Tensor>& inputs, const Tensor& weights,
+                         Build&& build) {
+  for (Var p : lstm.parameters()) p.zero_grad();
+  std::vector<Var> leaves;
+  for (const Tensor& t : inputs) leaves.push_back(Var::leaf(t));
+  const Var out = build(leaves);
+  sum(mul(out, Var::constant(weights))).backward();
+  SequenceRun run{out.value(), {}};
+  for (const Var& v : leaves) run.grads.push_back(v.grad());
+  for (const Var& p : lstm.parameters()) run.grads.push_back(p.grad());
+  return run;
+}
+
+void expect_runs_bitwise(const SequenceRun& got, const SequenceRun& want, const std::string& tag) {
+  expect_bitwise(got.out, want.out, "forward " + tag);
+  ASSERT_EQ(got.grads.size(), want.grads.size());
+  for (std::size_t i = 0; i < got.grads.size(); ++i) {
+    expect_bitwise(got.grads[i], want.grads[i], "gradient " + std::to_string(i) + " " + tag);
   }
 }
 
-TEST(LstmFusedTest, TrainerShapeSequenceMatchesUnfusedBitwise) {
-  // Trainer-scale shapes (the bench's lstm_train_gt geometry): T=168
-  // steps, batch 6, 28 -> 24 hidden -> 16 out, full forward + backward.
-  const long kSteps = 168, kBatch = 6, kIn = 28, kHidden = 24, kOut = 16;
+void check_generate(long hidden, long batch, long steps, long out, Activation head, bool week,
+                    std::uint64_t seed) {
+  const long kCond = 7;
+  const std::string tag = "H " + std::to_string(hidden) + " B " + std::to_string(batch) + " T " +
+                          std::to_string(steps) + " out " + std::to_string(out) +
+                          (head == Activation::kSigmoid ? " sigmoid" : " none") +
+                          (week ? " week" : "");
+  Rng model_rng(seed);
+  const Lstm lstm(kCond + core::kTimeFeatures, hidden, out, model_rng, head);
+  Rng data_rng(seed + 1);
+  const Tensor cond = init::gaussian({batch, kCond}, 1.0f, data_rng);
+  const Tensor weights = loss_weights({batch, steps, out}, data_rng);
+  const Tensor clock = core::clock_table(steps, 24, week);
+  const SequenceRun op = run_sequence(lstm, {cond}, weights, [&](const std::vector<Var>& in) {
+    return lstm.generate(in[0], clock);
+  });
+  const SequenceRun graph = run_sequence(lstm, {cond}, weights, [&](const std::vector<Var>& in) {
+    return reference::lstm_generate_graph(lstm.parameters(), head, in[0], clock);
+  });
+  expect_runs_bitwise(op, graph, tag);
+}
 
-  struct SeqRun {
-    std::vector<Tensor> outputs;
-    std::vector<Tensor> param_grads;
-  };
-  auto run = [&](bool fused) {
-    Rng model_rng(91);
-    Lstm lstm(kIn, kHidden, kOut, model_rng, Activation::kTanh);
-    Rng data_rng(92);
-    std::vector<Var> inputs;
-    for (long t = 0; t < kSteps; ++t) {
-      inputs.push_back(Var::leaf(init::gaussian({kBatch, kIn}, 1.0f, data_rng)));
-    }
-    std::vector<Var> outs;
-    if (fused) {
-      outs = lstm.forward(inputs);
-    } else {
-      // Replicate Lstm::forward exactly — batched projection, per-step
-      // slices — but drive the unfused step.
-      Var all_steps = concat_axis(inputs, 0);
-      Var all_proj = lstm.cell().project_input(all_steps);
-      LstmState state = lstm.cell().initial_state(kBatch);
-      for (long t = 0; t < kSteps; ++t) {
-        Var x_proj = slice_axis(all_proj, 0, t * kBatch, kBatch);
-        state = unfused_step(lstm.cell(), x_proj, state);
-        outs.push_back(apply_activation(lstm.head().forward(state.h), Activation::kTanh));
+TEST(LstmSequenceTest, GenerateMatchesReferenceGraphBitwise) {
+  // The (weekly clock, head) pairs take turns so each meets every shape.
+  int shape = 0;
+  for (const long hidden : {5L, 24L}) {
+    for (const long batch : {1L, 5L, 6L, 17L}) {
+      for (const long steps : {1L, 24L, 168L}) {
+        const int pair = (shape + shape / 3) % 4;
+        ++shape;
+        check_generate(hidden, batch, steps, 3,
+                       pair / 2 == 0 ? Activation::kNone : Activation::kSigmoid, pair % 2 == 0,
+                       static_cast<std::uint64_t>(100 + shape));
       }
     }
-    Var total = sum(outs[0]);
-    for (std::size_t t = 1; t < outs.size(); ++t) total = add(total, sum(outs[t]));
-    total.backward();
-    SeqRun r;
-    for (const Var& o : outs) r.outputs.push_back(o.value());
-    for (const Var& p : lstm.parameters()) r.param_grads.push_back(p.grad());
-    return r;
-  };
-
-  const SeqRun unfused = run(false);
-  const SeqRun fused = run(true);
-  ASSERT_EQ(unfused.outputs.size(), fused.outputs.size());
-  for (std::size_t t = 0; t < unfused.outputs.size(); ++t) {
-    expect_bitwise(unfused.outputs[t], fused.outputs[t], "sequence output");
-  }
-  ASSERT_EQ(unfused.param_grads.size(), fused.param_grads.size());
-  for (std::size_t i = 0; i < unfused.param_grads.size(); ++i) {
-    expect_bitwise(unfused.param_grads[i], fused.param_grads[i], "lstm param grad");
   }
 }
 
-TEST(LstmFusedTest, UnusedFinalStateHMatchesUnfused) {
-  // Loss through c only: h never receives gradient, so the fused o-gate
-  // path must contribute exactly zero — matching the unfused graph where
-  // the o-sigmoid node is unreachable from the loss.
-  Rng rng(43);
-  LSTMCell cell(4, 6, rng);
-  const Tensor x_init = init::gaussian({3, 4}, 1.0f, rng);
-  auto run = [&](bool fused) {
-    Var x = Var::leaf(x_init);
-    for (Var p : cell.parameters()) p.zero_grad();
-    LstmState state = cell.initial_state(3);
-    Var x_proj = cell.project_input(x);
-    LstmState next =
-        fused ? cell.step_projected(x_proj, state) : unfused_step(cell, x_proj, state);
-    Var loss = sum(next.c);
-    loss.backward();
-    std::vector<Tensor> grads{x.grad()};
-    for (const Var& p : cell.parameters()) grads.push_back(p.grad());
-    return grads;
-  };
-  const std::vector<Tensor> unfused = run(false);
-  const std::vector<Tensor> fused = run(true);
-  ASSERT_EQ(unfused.size(), fused.size());
-  for (std::size_t i = 0; i < unfused.size(); ++i) {
-    expect_bitwise(unfused[i], fused[i], "c-only-loss grad");
+TEST(LstmSequenceTest, GenerateWithHeadWiderThanOneKBlockMatches) {
+  // out > kKC: the head's dh term accumulates per step instead of as one
+  // precomputed product.
+  check_generate(5, 3, 6, gemm::kKC + 9, Activation::kNone, true, 150);
+  check_generate(5, 3, 6, gemm::kKC + 9, Activation::kSigmoid, false, 151);
+}
+
+void check_critique(long hidden, long batch, long steps, long stride, long width,
+                    std::uint64_t seed) {
+  const long kCond = 8;
+  const std::string tag = "H " + std::to_string(hidden) + " B " + std::to_string(batch) + " T " +
+                          std::to_string(steps) + " stride " + std::to_string(stride) + " S " +
+                          std::to_string(width);
+  Rng model_rng(seed);
+  const Lstm lstm(width + kCond, hidden, 1, model_rng);
+  Rng data_rng(seed + 1);
+  const Tensor series = init::gaussian({batch, steps, width}, 1.0f, data_rng);
+  const Tensor cond = init::gaussian({batch, kCond}, 1.0f, data_rng);
+  const Tensor weights = loss_weights({batch, 1}, data_rng);
+  const SequenceRun op =
+      run_sequence(lstm, {series, cond}, weights, [&](const std::vector<Var>& in) {
+        return lstm.critique(in[0], in[1], stride);
+      });
+  const SequenceRun graph =
+      run_sequence(lstm, {series, cond}, weights, [&](const std::vector<Var>& in) {
+        return reference::lstm_critique_graph(lstm.parameters(), in[0], in[1], stride);
+      });
+  expect_runs_bitwise(op, graph, tag);
+}
+
+TEST(LstmSequenceTest, CritiqueMatchesReferenceGraphBitwise) {
+  // T = 25 is divided by no stride above 1; R^t's 16 pixels alternate
+  // with DoppelGANger's single series value.
+  int shape = 0;
+  for (const long hidden : {5L, 24L}) {
+    for (const long batch : {1L, 5L, 6L, 17L}) {
+      for (const long steps : {1L, 24L, 25L, 168L}) {
+        for (const long stride : {1L, 2L, 3L}) {
+          ++shape;
+          check_critique(hidden, batch, steps, stride, shape % 2 == 0 ? 16 : 1,
+                         static_cast<std::uint64_t>(200 + shape));
+        }
+      }
+    }
   }
 }
 
-// --- inference recurrence vs the training graph ---
-// Lstm::infer reorders independent work only (split input projection,
-// gate-major state, one head GEMM), so every output bit must equal
-// forward() over the concatenated [cond, clock] inputs followed by
-// stack0/transpose01, the graph path training runs.
+TEST(LstmSequenceTest, CritiqueWithConstantSeriesMatches) {
+  // The discriminator step feeds detached fakes: only cond and the
+  // parameters take gradients.
+  Rng model_rng(301);
+  const Lstm lstm(16 + 8, 24, 1, model_rng);
+  Rng data_rng(302);
+  const Var series = Var::constant(init::gaussian({6, 168, 16}, 1.0f, data_rng));
+  const Tensor cond = init::gaussian({6, 8}, 1.0f, data_rng);
+  const Tensor weights = loss_weights({6, 1}, data_rng);
+  const SequenceRun op = run_sequence(lstm, {cond}, weights, [&](const std::vector<Var>& in) {
+    return lstm.critique(series, in[0], 2);
+  });
+  const SequenceRun graph = run_sequence(lstm, {cond}, weights, [&](const std::vector<Var>& in) {
+    return reference::lstm_critique_graph(lstm.parameters(), series, in[0], 2);
+  });
+  expect_runs_bitwise(op, graph, "constant series");
+}
 
-Tensor graph_sequence(const Lstm& lstm, const Tensor& cond, long steps, bool week) {
-  const std::vector<Var> outputs = lstm.forward(
-      core::time_encoded_inputs(Var::constant(cond), steps, /*steps_per_day=*/24, week));
-  return transpose01(stack0(outputs)).value();
+// --- the op under InferenceGuard ---
+// Generation runs the op with saving off (split projection, gate-major
+// state, one head GEMM, no allocation per step); every output bit must
+// equal the per-step graph's forward.
+
+Tensor graph_sequence(const Lstm& lstm, Activation head, const Tensor& cond, const Tensor& clock) {
+  return reference::lstm_generate_graph(lstm.parameters(), head, Var::constant(cond), clock)
+      .value();
+}
+
+Tensor inferred_sequence(const Lstm& lstm, const Tensor& cond, const Tensor& clock) {
+  const InferenceGuard no_grad;
+  const Var y = lstm.generate(Var::constant(cond), clock);
+  EXPECT_FALSE(y.requires_grad());
+  return y.value();
 }
 
 TEST(LstmInferTest, MatchesGraphSequenceBitwise) {
@@ -408,11 +431,24 @@ TEST(LstmInferTest, MatchesGraphSequenceBitwise) {
         const Lstm lstm(kCond + core::kTimeFeatures, hidden, 3, model_rng, head);
         Rng data_rng(static_cast<std::uint64_t>(batch * 1000 + steps));
         const Tensor cond = init::gaussian({batch, kCond}, 1.0f, data_rng);
-        const Tensor got = lstm.infer(cond, core::clock_table(steps, 24, week));
-        expect_bitwise(graph_sequence(lstm, cond, steps, week), got, "infer");
+        const Tensor clock = core::clock_table(steps, 24, week);
+        expect_bitwise(graph_sequence(lstm, head, cond, clock),
+                       inferred_sequence(lstm, cond, clock), "infer");
       }
     }
   }
+}
+
+TEST(LstmInferTest, CritiqueMatchesGraph) {
+  Rng model_rng(74);
+  const Lstm lstm(16 + 8, 24, 1, model_rng);
+  Rng data_rng(75);
+  const Var series = Var::constant(init::gaussian({5, 25, 16}, 1.0f, data_rng));
+  const Var cond = Var::constant(init::gaussian({5, 8}, 1.0f, data_rng));
+  const Tensor graph =
+      reference::lstm_critique_graph(lstm.parameters(), series, cond, 3).value();
+  const InferenceGuard no_grad;
+  expect_bitwise(graph, lstm.critique(series, cond, 3).value(), "critique");
 }
 
 TEST(LstmInferTest, WidestConditioningStillMatches) {
@@ -423,18 +459,22 @@ TEST(LstmInferTest, WidestConditioningStillMatches) {
   const Lstm lstm(cond_dim + core::kTimeFeatures, 5, 4, model_rng, Activation::kNone);
   Rng data_rng(72);
   const Tensor cond = init::gaussian({5, cond_dim}, 1.0f, data_rng);
-  expect_bitwise(graph_sequence(lstm, cond, 24, true),
-                 lstm.infer(cond, core::clock_table(24, 24, true)), "infer");
+  const Tensor clock = core::clock_table(24, 24, true);
+  expect_bitwise(graph_sequence(lstm, Activation::kNone, cond, clock),
+                 inferred_sequence(lstm, cond, clock), "infer");
 }
 
 TEST(LstmInferTest, RejectsInputsBeyondOneKBlockAndBadWidths) {
   Rng model_rng(73);
   const long cond_dim = gemm::kKC - core::kTimeFeatures + 1;
   const Lstm wide(cond_dim + core::kTimeFeatures, 5, 4, model_rng, Activation::kNone);
-  EXPECT_THROW(wide.infer(Tensor({2, cond_dim}), core::clock_table(4, 24)), spectra::Error);
+  const InferenceGuard no_grad;
+  EXPECT_THROW(wide.generate(Var::constant(Tensor({2, cond_dim})), core::clock_table(4, 24)),
+               spectra::Error);
   const Lstm narrow(7 + core::kTimeFeatures, 5, 4, model_rng, Activation::kNone);
-  EXPECT_THROW(narrow.infer(Tensor({2, 6}), core::clock_table(4, 24)), spectra::Error);
-  EXPECT_NO_THROW(narrow.infer(Tensor({2, 7}), core::clock_table(4, 24)));
+  EXPECT_THROW(narrow.generate(Var::constant(Tensor({2, 6})), core::clock_table(4, 24)),
+               spectra::Error);
+  EXPECT_NO_THROW(narrow.generate(Var::constant(Tensor({2, 7})), core::clock_table(4, 24)));
 }
 
 TEST(LstmInferTest, ConfigRejectsConditioningBeyondOneKBlock) {

@@ -62,19 +62,21 @@ TEST_P(SeededGradientTest, ComposedGraphGradientsMatchFiniteDifference) {
   }
 }
 
-TEST_P(SeededGradientTest, LstmStepGradientFlowsToInput) {
+TEST_P(SeededGradientTest, LstmGradientFlowsToInputs) {
   Rng rng(GetParam() ^ 0xAA);
-  nn::LSTMCell cell(3, 5, rng);
-  nn::Var x = nn::Var::leaf(nn::init::gaussian({2, 3}, 1.0f, rng));
-  nn::LstmState state = cell.initial_state(2);
-  // Three steps feeding the same x: gradient accumulates over steps.
-  for (int k = 0; k < 3; ++k) state = cell.step(x, state);
-  nn::Var loss = nn::mean(nn::mul(state.h, state.h));
+  const nn::Lstm lstm(3 + 2, 5, 1, rng);
+  nn::Var series = nn::Var::leaf(nn::init::gaussian({2, 3, 3}, 1.0f, rng));
+  // cond feeds all three steps: its gradient accumulates over steps.
+  nn::Var cond = nn::Var::leaf(nn::init::gaussian({2, 2}, 1.0f, rng));
+  nn::Var out = lstm.critique(series, cond, /*stride=*/1);
+  nn::Var loss = nn::mean(nn::mul(out, out));
   loss.backward();
-  float grad_norm = 0.0f;
-  for (long i = 0; i < x.grad().numel(); ++i) grad_norm += std::fabs(x.grad()[i]);
-  EXPECT_GT(grad_norm, 0.0f);
-  EXPECT_FALSE(x.grad().has_nonfinite());
+  for (const nn::Var* input : {&series, &cond}) {
+    float grad_norm = 0.0f;
+    for (long i = 0; i < input->grad().numel(); ++i) grad_norm += std::fabs(input->grad()[i]);
+    EXPECT_GT(grad_norm, 0.0f);
+    EXPECT_FALSE(input->grad().has_nonfinite());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededGradientTest, testing::Values(1ULL, 2ULL, 3ULL, 5ULL, 8ULL));
