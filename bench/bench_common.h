@@ -94,8 +94,7 @@ void run_once(::benchmark::State& state, Fn&& fn) {
 
 // BENCHMARK_MAIN-style entry with a post-run report hook: REPORT() runs
 // after the timed benchmarks and prints the paper-style tables; the
-// shared bench_report teardown (trace/metrics/profile/manifest) runs
-// last.
+// shared bench_report teardown (run name and manifest) runs last.
 #define SG_BENCH_MAIN(REPORT)                                   \
   int main(int argc, char** argv) {                             \
     ::benchmark::Initialize(&argc, argv);                       \

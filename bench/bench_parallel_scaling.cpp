@@ -2,9 +2,9 @@
 // the per-pixel irfft bridge, masked-spectrum targets, whole-city
 // generation) across thread counts. Run on a multi-core host to verify
 // the speedup; on a single core the table shows the serial-parity /
-// oversubscription baseline instead. The `pool.*`, `fourier_bridge.*`,
-// and `fft.*` instruments (README "Observability") carry the same
-// numbers for end-to-end runs.
+// oversubscription baseline instead. The `pool.*` and `fft.*`
+// instruments and the `core/irfft_bridge` profile node (README
+// "Observability") carry the same numbers for end-to-end runs.
 
 #include <cmath>
 

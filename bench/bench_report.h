@@ -1,38 +1,30 @@
 // The one obs-backed teardown shared by every bench binary (google-
-// benchmark sweeps and plain-main kernels alike): flush the trace (if
-// SPECTRA_TRACE is set), write the metrics JSON (if SPECTRA_METRICS is
-// set), dump the profile tree (if SPECTRA_PROFILE names a path), log the
-// text snapshot so a debug run shows where the time went, and leave a
-// run.json manifest (path overridable via SPECTRA_RUNMETA) so every run
-// is machine-diffable across commits.
+// benchmark sweeps and plain-main kernels alike). It names the run after
+// the binary, and when SPECTRA_RUNMETA names no file it leaves run.json
+// in the working directory, so every bench run is machine-diffable
+// across commits. The trace, the profile, the metrics and a
+// SPECTRA_RUNMETA manifest are the obs session's: its exit writer
+// writes each of them once (obs/session.h).
 
 #pragma once
 
-#include <cstdlib>
 #include <string>
 
-#include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/run_manifest.h"
-#include "obs/trace.h"
-#include "util/log.h"
+#include "obs/session.h"
 
 namespace spectra::bench {
 
 // `run_name` is usually argv[0]; the basename becomes the manifest name.
 inline void bench_report(const std::string& run_name) {
-  ::spectra::obs::trace_flush();
-  ::spectra::obs::dump_metrics();
-  ::spectra::obs::profile_dump();
-  SG_LOG_DEBUG << "\n" << ::spectra::obs::metrics_snapshot();
   std::string name = run_name;
   const std::size_t slash = name.find_last_of('/');
   if (slash != std::string::npos) name = name.substr(slash + 1);
-  // Also make this the default name so the SPECTRA_RUNMETA atexit
-  // rewrite (which runs after us and wins) keeps it.
+  // The session's SPECTRA_RUNMETA manifest takes this name too.
   ::spectra::obs::run_manifest_set_name(name);
-  const char* meta = std::getenv("SPECTRA_RUNMETA");
-  ::spectra::obs::write_run_manifest(meta != nullptr ? meta : "run.json", name);
+  if (::spectra::obs::session_knobs().runmeta.empty()) {
+    ::spectra::obs::write_run_manifest("run.json", name);
+  }
 }
 
 }  // namespace spectra::bench

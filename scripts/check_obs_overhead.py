@@ -2,12 +2,15 @@
 """Gate the telemetry-off overhead of the obs layer (DESIGN 6e).
 
 The obs layer's contract is that every disabled probe (SG_PROFILE_SCOPE,
-the one probe behind both the profile tree and the trace, and registry
-counters) costs one relaxed atomic load and a branch.  This script measures that contract end to end: it times
-`integration_test` from a probe-free build (-DSPECTRA_STRIP_PROBES=ON,
-the "seed timing") against the instrumented build with all telemetry
-env knobs unset, and fails if the instrumented-but-disabled binary is
-more than MAX_OVERHEAD slower.
+the one probe behind both the profile tree and the trace) costs one
+relaxed atomic load and a branch.  Registry instruments are not probes:
+each counter or histogram update is an unconditional relaxed atomic op,
+telemetry on or off, and the probe-free build keeps them, so this gate
+does not see their cost.  This script measures the probe contract end
+to end: it times `integration_test` from a probe-free build
+(-DSPECTRA_STRIP_PROBES=ON, the "seed timing") against the
+instrumented build with all telemetry env knobs unset, and fails if the
+instrumented-but-disabled binary is more than MAX_OVERHEAD slower.
 
 Like check_bench_kernels.py the gate compares *within-run ratios* on
 the same machine (min-of-N against min-of-N, interleaved A/B order),

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "dsp/fft.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -16,11 +15,6 @@ using nn::Var;
 
 Var irfft_bridge(const Var& spectrum, long base_steps, long expand_k) {
   SG_PROFILE_SCOPE("core/irfft_bridge");
-  static obs::Counter& calls = obs::Registry::instance().counter("fourier_bridge.calls");
-  static obs::Histogram& seconds =
-      obs::Registry::instance().histogram("fourier_bridge.seconds");
-  calls.inc();
-  obs::ScopedTimer timer(seconds);
   const Tensor& spec = spectrum.value();
   SG_CHECK(spec.rank() == 3, "irfft_bridge expects [B, 2*Fgen, P]");
   SG_CHECK(base_steps >= 2 && expand_k >= 1, "invalid irfft_bridge geometry");

@@ -19,11 +19,6 @@ obs::Counter& grows_counter() {
   return c;
 }
 
-obs::Counter& calls_counter() {
-  static obs::Counter& c = obs::Registry::instance().counter("gemm.calls");
-  return c;
-}
-
 obs::Gauge& bytes_gauge() {
   static obs::Gauge& g = obs::Registry::instance().gauge("gemm.workspace_bytes");
   return g;
@@ -187,7 +182,6 @@ void sgemm(Trans ta, Trans tb, long m, long n, long k, const float* a, long lda,
     }
     return;
   }
-  calls_counter().inc();
   SG_PROFILE_SCOPE("nn/gemm");
   if (obs::profile_enabled()) {
     // 2·M·N·K flops; traffic counts each operand once plus the C

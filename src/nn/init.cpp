@@ -15,15 +15,6 @@ Tensor xavier_uniform(Shape shape, long fan_in, long fan_out, Rng& rng) {
   return t;
 }
 
-Tensor he_normal(Shape shape, long fan_in, Rng& rng) {
-  SG_CHECK(fan_in > 0, "he_normal requires positive fan_in");
-  const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
-  Tensor t(std::move(shape));
-  const long n = t.numel();
-  for (long i = 0; i < n; ++i) t[i] = static_cast<float>(rng.normal(0.0, stddev));
-  return t;
-}
-
 Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
 
 Tensor gaussian(Shape shape, float stddev, Rng& rng) {

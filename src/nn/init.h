@@ -1,5 +1,5 @@
-// Weight initialization schemes (Glorot/He), parameterized by an explicit
-// Rng so model construction is reproducible.
+// Weight initialization schemes (Glorot, Gaussian), parameterized by an
+// explicit Rng so model construction is reproducible.
 
 #pragma once
 
@@ -10,9 +10,6 @@ namespace spectra::nn::init {
 
 // Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)) — Glorot/Xavier.
 Tensor xavier_uniform(Shape shape, long fan_in, long fan_out, Rng& rng);
-
-// Normal(0, sqrt(2 / fan_in)) — He, for ReLU-family activations.
-Tensor he_normal(Shape shape, long fan_in, Rng& rng);
 
 // All zeros (biases).
 Tensor zeros(Shape shape);

@@ -93,23 +93,4 @@ Conv2dLayer::Conv2dLayer(long in_channels, long out_channels, long kernel, Conv2
 
 Var Conv2dLayer::forward(const Var& x) const { return conv2d(x, weight_, bias_, spec_); }
 
-ConvStack::ConvStack(std::vector<long> channels, long kernel, Conv2dSpec spec, Activation hidden,
-                     Activation output, Rng& rng)
-    : hidden_(hidden), output_(output) {
-  SG_CHECK(channels.size() >= 2, "ConvStack requires at least in/out channels");
-  for (std::size_t i = 0; i + 1 < channels.size(); ++i) {
-    layers_.push_back(std::make_unique<Conv2dLayer>(channels[i], channels[i + 1], kernel, spec, rng));
-    register_child(*layers_.back());
-  }
-}
-
-Var ConvStack::forward(const Var& x) const {
-  Var h = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->forward(h);
-    h = apply_activation(h, i + 1 < layers_.size() ? hidden_ : output_);
-  }
-  return h;
-}
-
 }  // namespace spectra::nn

@@ -89,19 +89,4 @@ class Conv2dLayer : public Module {
   Var bias_;
 };
 
-// A stack of conv layers with a shared activation between them.
-class ConvStack : public Module {
- public:
-  // channels = {in, c1, ..., out}; same kernel/padding for every layer;
-  // `hidden` between layers, `output` after the last.
-  ConvStack(std::vector<long> channels, long kernel, Conv2dSpec spec, Activation hidden,
-            Activation output, Rng& rng);
-  Var forward(const Var& x) const;
-
- private:
-  std::vector<std::unique_ptr<Conv2dLayer>> layers_;
-  Activation hidden_;
-  Activation output_;
-};
-
 }  // namespace spectra::nn

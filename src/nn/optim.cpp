@@ -6,17 +6,22 @@
 
 namespace spectra::nn {
 
-Optimizer::Optimizer(std::vector<Var> params) : params_(std::move(params)) {
+Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2, float eps)
+    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
+  m_.reserve(params_.size());
+  v_.reserve(params_.size());
   for (const Var& p : params_) {
     SG_CHECK(p.defined() && p.requires_grad(), "optimizer params must be trainable leaves");
+    m_.emplace_back(p.value().shape());
+    v_.emplace_back(p.value().shape());
   }
 }
 
-void Optimizer::zero_grad() {
+void Adam::zero_grad() {
   for (Var& p : params_) p.zero_grad();
 }
 
-double Optimizer::clip_grad_norm(float max_norm) {
+double Adam::clip_grad_norm(float max_norm) {
   SG_CHECK(max_norm > 0.0f, "clip_grad_norm requires max_norm > 0");
   double total_sq = 0.0;
   for (Var& p : params_) {
@@ -29,35 +34,6 @@ double Optimizer::clip_grad_norm(float max_norm) {
   const float scale = static_cast<float>(static_cast<double>(max_norm) / (norm + 1e-12));
   for (Var& p : params_) p.grad_storage().scale_(scale);
   return norm;
-}
-
-Sgd::Sgd(std::vector<Var> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (const Var& p : params_) velocity_.emplace_back(p.value().shape());
-}
-
-void Sgd::step() {
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    Tensor& w = params_[k].value_mut();
-    const Tensor& g = params_[k].grad_storage();
-    Tensor& v = velocity_[k];
-    const long n = w.numel();
-    for (long i = 0; i < n; ++i) {
-      v[i] = momentum_ * v[i] - lr_ * g[i];
-      w[i] += v[i];
-    }
-  }
-}
-
-Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2, float eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (const Var& p : params_) {
-    m_.emplace_back(p.value().shape());
-    v_.emplace_back(p.value().shape());
-  }
 }
 
 void Adam::restore_state(long step_count, std::vector<Tensor> m, std::vector<Tensor> v) {

@@ -1,50 +1,29 @@
-// First-order optimizers operating on parameter Vars. Since Vars share
-// their node, the optimizer and the model see the same storage; `step()`
-// updates values in place from the gradients of the last backward().
+// The Adam optimizer over parameter Vars. Since Vars share their node,
+// the optimizer and the model see the same storage; `step()` updates
+// values in place from the gradients of the last backward().
 
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "nn/autograd.h"
 
 namespace spectra::nn {
 
-class Optimizer {
+// Adam over a fixed parameter list.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Var> params);
-  virtual ~Optimizer() = default;
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  explicit Adam(std::vector<Var> params, float lr = 1e-3f, float beta1 = 0.9f,
+                float beta2 = 0.999f, float eps = 1e-8f);
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   void zero_grad();
-  virtual void step() = 0;
+  void step();
 
   // Clip all gradients to the given L2 norm (no-op if already within).
   // Returns the pre-clip global norm (training telemetry reads it).
   double clip_grad_norm(float max_norm);
-
- protected:
-  std::vector<Var> params_;
-};
-
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Var> params, float lr, float momentum = 0.0f);
-  void step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Var> params, float lr = 1e-3f, float beta1 = 0.9f, float beta2 = 0.999f,
-       float eps = 1e-8f);
-  void step() override;
 
   void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
@@ -60,6 +39,7 @@ class Adam : public Optimizer {
   void restore_state(long step_count, std::vector<Tensor> m, std::vector<Tensor> v);
 
  private:
+  std::vector<Var> params_;
   float lr_;
   float beta1_;
   float beta2_;

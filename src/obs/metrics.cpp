@@ -1,17 +1,12 @@
 #include "obs/metrics.h"
 
-#include "obs/profile.h"
-#include "obs/run_manifest.h"
-#include "obs/sampler.h"
-#include "obs/trace.h"
-
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
+
+#include "obs/session.h"
 
 namespace spectra::obs {
 
@@ -49,6 +44,12 @@ double sorted_quantile(std::vector<double>& values, double q) {
   return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
+// The obs session's one trigger (obs/session.h). Every obs translation
+// unit calls into this file (json_escape, format_double, the registry),
+// so the static archive links it, and this initializer with it, into
+// every binary that links obs at all: the knobs are read before main.
+const bool g_session_started = (detail::start_session(), true);
+
 }  // namespace
 
 std::string format_double(double value) {
@@ -82,22 +83,9 @@ void MaxGauge::update(double value) {
   }
 }
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), buckets_(bounds_.size() + 1),
-      reservoir_(kReservoirSize) {
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    if (bounds_[i] <= bounds_[i - 1]) {
-      bounds_.clear();
-      buckets_ = std::vector<std::atomic<std::uint64_t>>(1);
-      break;
-    }
-  }
-}
+Histogram::Histogram() : reservoir_(kReservoirSize) {}
 
 void Histogram::observe(double value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const std::size_t index = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[index].fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t n = count_.fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, value);
   // Algorithm R over the fixed reservoir: the first kReservoirSize
@@ -114,12 +102,7 @@ void Histogram::observe(double value) {
   }
 }
 
-std::uint64_t Histogram::bucket_count(std::size_t index) const {
-  return index < buckets_.size() ? buckets_[index].load(std::memory_order_relaxed) : 0;
-}
-
 void Histogram::reset() {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
   for (auto& slot : reservoir_) slot.store(0.0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
@@ -136,61 +119,8 @@ double Histogram::quantile(double q) const {
   return sorted_quantile(sample, q);
 }
 
-double Histogram::bucket_quantile(double q) const {
-  const std::uint64_t n = count();
-  if (n == 0) return std::numeric_limits<double>::quiet_NaN();
-  q = std::min(1.0, std::max(0.0, q));
-  const double target = q * static_cast<double>(n);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const std::uint64_t in_bucket = buckets_[i].load(std::memory_order_relaxed);
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(cumulative + in_bucket) >= target) {
-      if (i >= bounds_.size()) return bounds_.empty() ? 0.0 : bounds_.back();
-      const double lower = i == 0 ? 0.0 : bounds_[i - 1];
-      const double upper = bounds_[i];
-      const double frac =
-          (target - static_cast<double>(cumulative)) / static_cast<double>(in_bucket);
-      return lower + (upper - lower) * std::min(1.0, std::max(0.0, frac));
-    }
-    cumulative += in_bucket;
-  }
-  return bounds_.empty() ? 0.0 : bounds_.back();
-}
-
-std::vector<double> default_time_buckets() {
-  // 1us, 3.16us, 10us, ... 10s (half-decade steps).
-  std::vector<double> bounds;
-  for (double decade = 1e-6; decade < 10.0; decade *= 10.0) {
-    bounds.push_back(decade);
-    bounds.push_back(decade * 3.162277660168379);
-  }
-  bounds.push_back(10.0);
-  return bounds;
-}
-
 Registry& Registry::instance() {
-  static Registry* registry = [] {
-    Registry* r = new Registry();
-    if (std::getenv("SPECTRA_METRICS") != nullptr) {
-      std::atexit([] { dump_metrics(); });
-    }
-    return r;
-  }();
-  // The other obs env hooks (profiler, sampler, manifest) fire here
-  // because this is the one obs symbol every binary references — their
-  // own translation units would otherwise be dropped from the static
-  // archive along with any TU-level initializers. The hooks never call
-  // Registry::instance() on this thread (the sampler only spawns its
-  // thread), so the nested static init cannot recurse.
-  static const bool hooks_installed = [] {
-    detail::trace_env_autostart();
-    detail::profile_env_autostart();
-    detail::sampler_env_autostart();
-    detail::run_manifest_env_autostart();
-    return true;
-  }();
-  (void)hooks_installed;
+  static Registry* registry = new Registry();
   return *registry;
 }
 
@@ -221,53 +151,13 @@ MaxGauge& Registry::max_gauge(const std::string& name) {
   return *max_gauges_.back().second;
 }
 
-Histogram& Registry::histogram(const std::string& name, std::vector<double> upper_bounds) {
+Histogram& Registry::histogram(const std::string& name) {
   MutexLock lock(mutex_);
   for (auto& entry : histograms_) {
     if (entry.first == name) return *entry.second;
   }
-  if (upper_bounds.empty()) upper_bounds = default_time_buckets();
-  histograms_.emplace_back(name, std::make_unique<Histogram>(std::move(upper_bounds)));
+  histograms_.emplace_back(name, std::make_unique<Histogram>());
   return *histograms_.back().second;
-}
-
-std::string Registry::text_snapshot() const {
-  MutexLock lock(mutex_);
-  std::ostringstream out;
-  out << "# metrics snapshot\n";
-  for (const auto& [name, counter] : counters_) {
-    out << "counter " << name << " = " << counter->value() << '\n';
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out << "gauge " << name << " = " << format_double(gauge->value()) << '\n';
-  }
-  for (const auto& [name, gauge] : max_gauges_) {
-    out << "maxgauge " << name << " = " << format_double(gauge->value()) << '\n';
-  }
-  for (const auto& [name, hist] : histograms_) {
-    out << "histogram " << name << " count=" << hist->count()
-        << " sum=" << format_double(hist->sum());
-    const double count = static_cast<double>(hist->count());
-    if (count > 0) {
-      out << " mean=" << format_double(hist->sum() / count)
-          << " p50=" << format_double(hist->quantile(0.50))
-          << " p95=" << format_double(hist->quantile(0.95))
-          << " p99=" << format_double(hist->quantile(0.99));
-    }
-    out << '\n';
-    for (std::size_t i = 0; i <= hist->bounds().size(); ++i) {
-      const std::uint64_t n = hist->bucket_count(i);
-      if (n == 0) continue;
-      out << "  le ";
-      if (i < hist->bounds().size()) {
-        out << format_double(hist->bounds()[i]);
-      } else {
-        out << "+inf";
-      }
-      out << ": " << n << '\n';
-    }
-  }
-  return out.str();
 }
 
 std::string Registry::json_snapshot() const {
@@ -301,42 +191,14 @@ std::string Registry::json_snapshot() const {
           << ",\"p95\":" << format_double(hist.quantile(0.95))
           << ",\"p99\":" << format_double(hist.quantile(0.99));
     }
-    out << ",\"bounds\":[";
-    for (std::size_t b = 0; b < hist.bounds().size(); ++b) {
-      if (b != 0) out << ',';
-      out << format_double(hist.bounds()[b]);
-    }
-    out << "],\"buckets\":[";
-    for (std::size_t b = 0; b <= hist.bounds().size(); ++b) {
-      if (b != 0) out << ',';
-      out << hist.bucket_count(b);
-    }
-    out << "]}";
+    out << '}';
   }
   out << "}}";
   return out.str();
 }
 
-void Registry::reset_values() {
-  MutexLock lock(mutex_);
-  for (auto& entry : counters_) entry.second->reset();
-  for (auto& entry : gauges_) entry.second->reset();
-  for (auto& entry : max_gauges_) entry.second->reset();
-  for (auto& entry : histograms_) entry.second->reset();
-}
-
-std::string metrics_snapshot() { return Registry::instance().text_snapshot(); }
-
-std::string metrics_snapshot_json() { return Registry::instance().json_snapshot(); }
-
 void dump_metrics(const std::string& path) {
-  std::string target = path;
-  if (target.empty()) {
-    const char* env = std::getenv("SPECTRA_METRICS");
-    if (env != nullptr) target = env;
-  }
-  if (target.empty()) return;
-  std::ofstream out(target);
+  std::ofstream out(path);
   if (!out) return;
   out << Registry::instance().json_snapshot() << '\n';
 }

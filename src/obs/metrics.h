@@ -1,15 +1,14 @@
-// Process-wide metrics registry: named counters, gauges, and fixed-bucket
-// histograms with lock-cheap hot paths (a relaxed atomic op per update;
-// the registry mutex is only taken at instrument lookup, which callers
-// amortize behind function-local statics).
+// Process-wide metrics registry: named counters, gauges, max-gauges and
+// reservoir histograms with lock-cheap hot paths (a relaxed atomic op per
+// update; the registry mutex is only taken at instrument lookup, which
+// callers amortize behind function-local statics).
 //
-// Snapshots are exported as aligned text or JSON. When SPECTRA_METRICS
-// names a file, the JSON snapshot is also written there at process exit.
+// Snapshots are exported as JSON. When SPECTRA_METRICS names a file, the
+// obs session (obs/session.h) writes the snapshot there at process exit.
 
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,28 +61,22 @@ class MaxGauge {
   std::atomic<double> value_{0.0};
 };
 
-// Histogram over fixed, strictly increasing upper bounds. Values above
-// the last bound land in an implicit +inf overflow bucket, so there are
-// bounds().size() + 1 buckets in total.
-//
-// Beside the buckets, every histogram keeps a fixed-size reservoir
-// sample of the observed values (Algorithm R with a counter-hash random
-// source — lock-free, no RNG state), so snapshots report real
-// p50/p95/p99 instead of bucket-resolution estimates.
+// Histogram: the count and sum of the observed values, plus a
+// fixed-size reservoir sample of them (Algorithm R with a counter-hash
+// random source — lock-free, no RNG state), so snapshots report real
+// p50/p95/p99.
 class Histogram {
  public:
   // Reservoir capacity: 512 doubles (4 KiB) bounds the p99 rank error
   // near 0.5% while keeping per-histogram memory trivial.
   static constexpr std::size_t kReservoirSize = 512;
 
-  explicit Histogram(std::vector<double> upper_bounds);
+  Histogram();
 
   void observe(double value);
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
-  const std::vector<double>& bounds() const { return bounds_; }
-  std::uint64_t bucket_count(std::size_t index) const;
   void reset();
 
   // Quantile estimate from the reservoir sample (sorted, linearly
@@ -91,28 +84,16 @@ class Histogram {
   // values have been observed.
   double quantile(double q) const;
 
-  // Coarser quantile estimate interpolated inside the fixed buckets
-  // (lower edge of bucket 0 is taken as 0 — all registered histograms
-  // record non-negative quantities). NaN when empty; values in the +inf
-  // overflow bucket clamp to the last finite bound.
-  double bucket_quantile(double q) const;
-
  private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
-  std::vector<std::atomic<double>> reservoir_;       // kReservoirSize slots
+  std::vector<std::atomic<double>> reservoir_;  // kReservoirSize slots
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
 };
 
-// Exponential seconds buckets, 1us .. 10s — the default for timing
-// histograms (FFT calls, iteration phases).
-std::vector<double> default_time_buckets();
-
 class Registry {
  public:
-  // The process-wide registry (leaked so instruments stay valid for
-  // atexit dumps and for threads still running during shutdown).
+  // The process-wide registry (leaked so instruments stay valid for the
+  // session's exit writer and for threads still running during shutdown).
   static Registry& instance();
 
   // Lookup-or-create by name. Returned references are stable for the
@@ -120,13 +101,9 @@ class Registry {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   MaxGauge& max_gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> upper_bounds = {});
+  Histogram& histogram(const std::string& name);
 
-  std::string text_snapshot() const;
   std::string json_snapshot() const;
-
-  // Zero every instrument's value (names stay registered). Tests only.
-  void reset_values();
 
  private:
   Registry() = default;
@@ -146,29 +123,7 @@ class Registry {
       SG_GUARDED_BY(mutex_);
 };
 
-// Snapshots of the process registry.
-std::string metrics_snapshot();       // aligned text
-std::string metrics_snapshot_json();  // JSON object
-
-// Write the JSON snapshot to `path`, or to $SPECTRA_METRICS when `path`
-// is empty. No-op when neither names a file.
-void dump_metrics(const std::string& path = "");
-
-// RAII seconds timer: records the scope's wall time into a histogram.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& histogram)
-      : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start_;
-    histogram_.observe(elapsed.count());
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram& histogram_;
-  std::chrono::steady_clock::time_point start_;
-};
+// Write the registry's JSON snapshot to `path`.
+void dump_metrics(const std::string& path);
 
 }  // namespace spectra::obs

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -86,14 +85,6 @@ ThreadTree& thread_tree() {
   }();
   return *tree;
 }
-
-// Primary autostart: runs at static init in any binary that opens
-// profile scopes (they reference this TU). The Registry::instance()
-// hook is the backstop; the once-guard makes the pair idempotent.
-const bool g_profile_env_init = [] {
-  detail::profile_env_autostart();
-  return true;
-}();
 
 // --- merged report tree -------------------------------------------------
 
@@ -243,22 +234,6 @@ void set_probe(unsigned bit, bool enabled) {
   }
 }
 
-void profile_env_autostart() {
-  // sg-lint: allow(mutable-static) once-guard for the env autostart hook
-  static bool done = false;
-  if (done) return;
-  done = true;
-  // `1`/`true` only enable; anything else is additionally the JSON dump
-  // path (profile_dump reads the knob again at exit).
-  if (std::getenv("SPECTRA_PROFILE") != nullptr) {
-    set_probe(kProfileBit, true);
-    std::atexit([] {
-      std::fputs(profile_report_text().c_str(), stderr);
-      profile_dump();
-    });
-  }
-}
-
 }  // namespace detail
 
 void profile_set_enabled(bool enabled) { detail::set_probe(detail::kProfileBit, enabled); }
@@ -309,15 +284,7 @@ std::string profile_report_json() {
 }
 
 void profile_dump(const std::string& path) {
-  std::string target = path;
-  if (target.empty()) {
-    const char* env = std::getenv("SPECTRA_PROFILE");
-    if (env != nullptr && std::strcmp(env, "1") != 0 && std::strcmp(env, "true") != 0) {
-      target = env;
-    }
-  }
-  if (target.empty()) return;
-  std::ofstream out(target);
+  std::ofstream out(path);
   if (!out) return;
   out << profile_report_json() << '\n';
 }

@@ -5,12 +5,10 @@
 // across threads at report time; the trace records each scope as one
 // complete event under the same name.
 //
-// Both outputs are off by default and share one enable word. Setting
-// SPECTRA_PROFILE enables the profiler at startup and registers an
-// atexit report: the text tree always goes to stderr; when the value is
-// a path (anything other than `1`/`true`) the JSON tree is also written
-// there. SPECTRA_TRACE enables the trace. Tests toggle them with
-// profile_set_enabled() / trace_set_enabled(). With both off,
+// Both outputs are off by default and share one enable word. The obs
+// session (obs/session.h) turns them on from SPECTRA_PROFILE and
+// SPECTRA_TRACE before main and finishes them at exit; tests toggle them
+// with profile_set_enabled() / trace_set_enabled(). With both off,
 // SG_PROFILE_SCOPE costs one relaxed atomic load and a branch; with
 // either on, one clock read at entry and one at exit serve both.
 //
@@ -47,17 +45,13 @@ struct ProfileNode;
 
 // Steady-clock nanoseconds: the one clock both probe outputs read.
 std::int64_t steady_now_ns();
-
-// Idempotent SPECTRA_PROFILE autostart hook, invoked from
-// Registry::instance() so the static-archive linker cannot drop it.
-void profile_env_autostart();
 }  // namespace detail
 
 inline bool profile_enabled() {
   return (detail::g_probes.load(std::memory_order_relaxed) & detail::kProfileBit) != 0;
 }
 
-// Runtime toggle (SPECTRA_PROFILE flips it on during static init).
+// Runtime toggle (the session flips it on from SPECTRA_PROFILE).
 void profile_set_enabled(bool enabled);
 
 // Attribute `flops` floating-point operations and `bytes` of memory
@@ -76,9 +70,8 @@ std::string profile_report_text();
 //    "excl_seconds", "flops", "bytes", "children": [...]}, ...]}
 std::string profile_report_json();
 
-// Write profile_report_json() to `path`, or honour $SPECTRA_PROFILE when
-// `path` is empty (no-op when the knob is unset or a bare enable flag).
-void profile_dump(const std::string& path = "");
+// Write profile_report_json() to `path`.
+void profile_dump(const std::string& path);
 
 // Discard every recorded node and restart the wall-clock origin. Only
 // safe while no scopes are open. Tests only.

@@ -37,13 +37,10 @@ namespace spectra::obs {
 
 namespace {
 
-// Wall time origin: first touch of the manifest machinery (static init
-// in any linked binary, so effectively process start).
-std::chrono::steady_clock::time_point origin() {
-  // sg-lint: allow(mutable-static) const time origin, set once on first use
-  static const std::chrono::steady_clock::time_point t = std::chrono::steady_clock::now();
-  return t;
-}
+// Wall time origin: this file's static initialization. The session's
+// exit writer links this file into every binary that links obs, so
+// that is effectively process start.
+const std::chrono::steady_clock::time_point g_origin = std::chrono::steady_clock::now();
 
 struct ExtraState {
   Mutex mutex SG_ACQUIRED_AFTER(lock_order::obs)
@@ -52,13 +49,13 @@ struct ExtraState {
 };
 
 ExtraState& extras() {
-  // sg-lint: allow(mutable-static) leaked manifest extras; read by atexit writer
+  // sg-lint: allow(mutable-static) leaked manifest extras; read by the exit writer
   static ExtraState* s = new ExtraState();
   return *s;
 }
 
 // Default run name set by bench_report() et al., consulted when a writer
-// (notably the SPECTRA_RUNMETA atexit rewrite) passes no explicit name.
+// (notably the session's SPECTRA_RUNMETA manifest) passes no explicit name.
 struct NameState {
   Mutex mutex SG_ACQUIRED_AFTER(lock_order::obs)
       SG_ACQUIRED_BEFORE(lock_order::fft_cache);
@@ -66,7 +63,7 @@ struct NameState {
 };
 
 NameState& default_name() {
-  // sg-lint: allow(mutable-static) leaked default run name; read by atexit writer
+  // sg-lint: allow(mutable-static) leaked default run name; read by the exit writer
   static NameState* s = new NameState();
   return *s;
 }
@@ -116,7 +113,7 @@ std::string run_manifest_json(const std::string& run_name) {
       name = s.name.empty() ? "run" : s.name;
     }
   }
-  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - origin();
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - g_origin;
 
   std::ostringstream out;
   out << "{\"name\":\"" << json_escape(name) << "\",\"git_sha\":\""
@@ -147,30 +144,9 @@ std::string run_manifest_json(const std::string& run_name) {
 }
 
 void write_run_manifest(const std::string& path, const std::string& run_name) {
-  std::string target = path;
-  if (target.empty()) {
-    const char* env = std::getenv("SPECTRA_RUNMETA");
-    if (env != nullptr) target = env;
-  }
-  if (target.empty()) return;
-  std::ofstream out(target);
+  std::ofstream out(path);
   if (!out) return;
   out << run_manifest_json(run_name) << '\n';
 }
-
-namespace detail {
-
-void run_manifest_env_autostart() {
-  // sg-lint: allow(mutable-static) once-guard for the env autostart hook
-  static bool done = false;
-  if (done) return;
-  done = true;
-  origin();  // pin the wall-time origin at static init
-  if (std::getenv("SPECTRA_RUNMETA") != nullptr) {
-    std::atexit([] { write_run_manifest(); });
-  }
-}
-
-}  // namespace detail
 
 }  // namespace spectra::obs

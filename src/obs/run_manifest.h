@@ -2,8 +2,9 @@
 // capturing everything needed to diff performance across commits — git
 // SHA and build flags (baked in at configure time), every SPECTRA_* knob
 // in the environment, wall time, the final metrics snapshot, and the
-// profile tree. Benches emit one via bench_report(); any process can opt
-// in by setting SPECTRA_RUNMETA=<path> (written at exit).
+// profile tree. Any process can opt in by setting SPECTRA_RUNMETA=<path>
+// (written last by the obs session's exit writer, obs/session.h); a bench
+// binary without it leaves run.json through bench_report().
 //
 // Document shape:
 //   {"name": ..., "git_sha": ..., "build_type": ..., "cxx_flags": ...,
@@ -18,13 +19,6 @@
 
 namespace spectra::obs {
 
-namespace detail {
-// Idempotent SPECTRA_RUNMETA autostart hook, invoked from
-// Registry::instance() so the static-archive linker cannot drop it.
-// Registers an atexit writer; never touches the registry directly.
-void run_manifest_env_autostart();
-}  // namespace detail
-
 // Attach an extra key to the manifest's "extra" object. `value` must be
 // a valid JSON value (callers pass numbers as-is and quote strings via
 // run_manifest_set_string). Used for run-specific facts such as the
@@ -32,18 +26,16 @@ void run_manifest_env_autostart();
 void run_manifest_set(const std::string& key, const std::string& json_value);
 void run_manifest_set_string(const std::string& key, const std::string& value);
 
-// Default run name when a writer passes none — notably the atexit
-// rewrite registered by the SPECTRA_RUNMETA autostart, which would
-// otherwise stamp "run" over the name bench_report() used. SPECTRA_RUN
-// still takes precedence.
+// Default run name when a writer passes none — notably the session's
+// SPECTRA_RUNMETA manifest, which would otherwise be named "run" in a
+// bench binary. SPECTRA_RUN still takes precedence.
 void run_manifest_set_name(const std::string& run_name);
 
 // Build the manifest document. `run_name` defaults to the SPECTRA_RUN
 // env value or "run" when unset.
 std::string run_manifest_json(const std::string& run_name = "");
 
-// Write run_manifest_json() to `path`, or to $SPECTRA_RUNMETA when
-// `path` is empty. No-op when neither names a file.
-void write_run_manifest(const std::string& path = "", const std::string& run_name = "");
+// Write run_manifest_json(run_name) to `path`.
+void write_run_manifest(const std::string& path, const std::string& run_name = "");
 
 }  // namespace spectra::obs

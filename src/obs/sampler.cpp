@@ -34,12 +34,11 @@ double elapsed_ms() {
   return elapsed.count();
 }
 
-// Append one resource tick to $SPECTRA_TRAIN_LOG. The sampler keeps its
-// own append-mode stream (O_APPEND, flushed per line) so it interleaves
-// whole lines with the trainer's TrainLogSink without coordination.
-void append_jsonl_tick(const ProcSample& sample) {
-  const char* path = std::getenv("SPECTRA_TRAIN_LOG");
-  if (path == nullptr || path[0] == '\0') return;
+// Append one resource tick to the train JSONL at `path`. The sampler
+// keeps its own append-mode stream (O_APPEND, flushed per line) so it
+// interleaves whole lines with the trainer's TrainLogSink without
+// coordination.
+void append_jsonl_tick(const ProcSample& sample, const std::string& path) {
   Registry& registry = Registry::instance();
   std::ostringstream line;
   line << "{\"sample_ms\":" << format_double(elapsed_ms())
@@ -99,7 +98,7 @@ ProcSample read_proc_sample() {
   return sample;
 }
 
-ProcSample sample_once(bool jsonl) {
+ProcSample sample_once() {
   const ProcSample sample = read_proc_sample();
   Registry& registry = Registry::instance();
   registry.gauge("proc.rss_bytes").set(sample.rss_bytes);
@@ -107,12 +106,11 @@ ProcSample sample_once(bool jsonl) {
   registry.gauge("proc.cpu_utime_seconds").set(sample.cpu_utime_seconds);
   registry.gauge("proc.cpu_stime_seconds").set(sample.cpu_stime_seconds);
   registry.counter("proc.sampler_ticks").inc();
-  if (jsonl) append_jsonl_tick(sample);
   return sample;
 }
 
 ResourceSampler& ResourceSampler::instance() {
-  // sg-lint: allow(mutable-static) leaked sampler singleton; atexit stop() joins the thread
+  // sg-lint: allow(mutable-static) leaked sampler singleton; stop() at exit joins the thread
   static ResourceSampler* sampler = new ResourceSampler();
   return *sampler;
 }
@@ -123,7 +121,11 @@ void ResourceSampler::start(long interval_ms) {
   if (interval_ms < 1) interval_ms = 1;
   stop_flag_ = false;
   running_ = true;
-  thread_ = std::thread([this, interval_ms] { loop(interval_ms); });
+  // Read once here, not per tick: the environment is not safe to read
+  // on one thread while another calls setenv.
+  const char* train_log = std::getenv("SPECTRA_TRAIN_LOG");
+  const std::string jsonl_path = train_log != nullptr ? train_log : "";
+  thread_ = std::thread([this, interval_ms, jsonl_path] { loop(interval_ms, jsonl_path); });
 }
 
 void ResourceSampler::stop() {
@@ -144,9 +146,10 @@ bool ResourceSampler::running() const {
   return running_;
 }
 
-void ResourceSampler::loop(long interval_ms) {
+void ResourceSampler::loop(long interval_ms, const std::string& jsonl_path) {
   for (;;) {
-    sample_once(/*jsonl=*/true);
+    const ProcSample sample = sample_once();
+    if (!jsonl_path.empty()) append_jsonl_tick(sample, jsonl_path);
     const std::chrono::steady_clock::time_point deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(interval_ms);
     // Explicit deadline loop instead of a predicate wait: the thread
@@ -159,24 +162,5 @@ void ResourceSampler::loop(long interval_ms) {
     if (stop_flag_) return;
   }
 }
-
-namespace detail {
-
-void sampler_env_autostart() {
-  // sg-lint: allow(mutable-static) once-guard for the env autostart hook
-  static bool done = false;
-  if (done) return;
-  done = true;
-  const char* env = std::getenv("SPECTRA_SAMPLE_MS");
-  if (env == nullptr || env[0] == '\0') return;
-  const long interval_ms = std::strtol(env, nullptr, 10);
-  if (interval_ms <= 0) return;
-  // Only spawns the thread here — the thread itself does the registry
-  // lookups, so this is safe to call from inside Registry::instance().
-  ResourceSampler::instance().start(interval_ms);
-  std::atexit([] { ResourceSampler::instance().stop(); });
-}
-
-}  // namespace detail
 
 }  // namespace spectra::obs

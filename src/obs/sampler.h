@@ -5,10 +5,10 @@
 // line per sample so resource usage lands in the same time-series as the
 // training telemetry.
 //
-// Sampling is off by default. Setting SPECTRA_SAMPLE_MS=<interval> starts
-// the sampler at that cadence during static init (stopped again via
-// atexit); tests drive it directly with start()/stop() or take single
-// snapshots with sample_once().
+// Sampling is off by default. With SPECTRA_SAMPLE_MS=<interval> set, the
+// obs session (obs/session.h) starts the sampler at that cadence before
+// main and stops it first at exit; tests drive it directly with
+// start()/stop() or take single snapshots with sample_once().
 //
 // Instruments updated per tick:
 //   proc.rss_bytes            gauge      resident set size
@@ -23,20 +23,13 @@
 
 #pragma once
 
+#include <string>
 #include <thread>
 
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace spectra::obs {
-
-namespace detail {
-// Idempotent SPECTRA_SAMPLE_MS autostart hook, invoked from
-// Registry::instance() so the static-archive linker cannot drop it. Must
-// not call Registry::instance() on the calling thread (it runs inside
-// the registry's own initialization).
-void sampler_env_autostart();
-}  // namespace detail
 
 // One snapshot of the process resource counters. Zeroes on platforms
 // without /proc (the sampler then still ticks, recording zeros).
@@ -51,10 +44,10 @@ struct ProcSample {
 // that want a snapshot without the background thread.
 ProcSample read_proc_sample();
 
-// Take one sample and push it into the metrics registry (and the train
-// JSONL when `jsonl` is true and SPECTRA_TRAIN_LOG names a file).
-// Returns the sample. This is the body of one background tick.
-ProcSample sample_once(bool jsonl = false);
+// Take one sample and push it into the metrics registry. Returns the
+// sample. This is the body of one background tick, which also appends
+// it to SPECTRA_TRAIN_LOG's JSONL when that names a file.
+ProcSample sample_once();
 
 class ResourceSampler {
  public:
@@ -62,11 +55,10 @@ class ResourceSampler {
   static ResourceSampler& instance();
 
   // Start ticking every `interval_ms` (clamped to >= 1). No-op when
-  // already running.
+  // already running. SPECTRA_TRAIN_LOG is read here, once per start.
   void start(long interval_ms);
 
-  // Stop and join the background thread. Safe to call when not running;
-  // registered via atexit by the env autostart.
+  // Stop and join the background thread. Safe to call when not running.
   void stop();
 
   bool running() const;
@@ -74,7 +66,7 @@ class ResourceSampler {
  private:
   ResourceSampler() = default;
 
-  void loop(long interval_ms);
+  void loop(long interval_ms, const std::string& jsonl_path);
 
   mutable Mutex mutex_ SG_ACQUIRED_AFTER(lock_order::obs)
       SG_ACQUIRED_BEFORE(lock_order::fft_cache);

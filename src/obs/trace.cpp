@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -39,7 +38,6 @@ struct StreamState {
   Mutex mutex SG_ACQUIRED_AFTER(lock_order::obs)
       SG_ACQUIRED_BEFORE(lock_order::fft_cache);
   std::ofstream out SG_GUARDED_BY(mutex);
-  std::string path SG_GUARDED_BY(mutex);
   bool any_event SG_GUARDED_BY(mutex) = false;  // comma needed before the next event
 };
 
@@ -75,14 +73,6 @@ ThreadBuffer& thread_buffer() {
   }();
   return *buffer;
 }
-
-// Primary autostart: runs at static init in any binary that opens
-// scopes (they reference this TU). The Registry::instance() hook is the
-// backstop; the once-guard makes the pair idempotent.
-const bool g_trace_env_init = [] {
-  detail::trace_env_autostart();
-  return true;
-}();
 
 void format_event(std::ostream& out, const TraceEvent& event, std::uint32_t tid) {
   out << "{\"name\":\"" << json_escape(event.name)
@@ -145,18 +135,6 @@ void trace_record(const char* name, std::int64_t start_ns, std::int64_t end_ns) 
   }
 }
 
-void trace_env_autostart() {
-  // sg-lint: allow(mutable-static) once-guard for the env autostart hook
-  static bool done = false;
-  if (done) return;
-  done = true;
-  const char* env = std::getenv("SPECTRA_TRACE");
-  if (env == nullptr || env[0] == '\0') return;
-  trace_set_enabled(true);
-  trace_stream_open(env);
-  std::atexit([] { trace_stream_close(); });
-}
-
 }  // namespace detail
 
 void trace_set_enabled(bool enabled) {
@@ -167,7 +145,7 @@ void trace_set_enabled(bool enabled) {
 std::string trace_json() {
   TraceState& s = state();
   std::ostringstream out;
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  out << '[';
   bool first = true;
   MutexLock registry_lock(s.mutex);
   for (ThreadBuffer* buffer : s.buffers) {
@@ -178,30 +156,8 @@ std::string trace_json() {
       format_event(out, event, buffer->tid);
     }
   }
-  out << "]}";
+  out << ']';
   return out.str();
-}
-
-void trace_flush(const std::string& path) {
-  std::string target = path;
-  if (target.empty()) {
-    const char* env = std::getenv("SPECTRA_TRACE");
-    if (env != nullptr) target = env;
-  }
-  if (target.empty()) return;
-  // When the stream owns that file, a whole-document overwrite would
-  // corrupt it — route through a drain instead.
-  {
-    TraceState& s = state();
-    MutexLock lock(s.stream.mutex);
-    if (s.stream.out.is_open() && s.stream.path == target) {
-      drain_locked(s);
-      return;
-    }
-  }
-  std::ofstream out(target);
-  if (!out) return;
-  out << trace_json() << '\n';
 }
 
 void trace_reset() {
@@ -226,9 +182,8 @@ bool trace_recover_partial(const std::string& path) {
   // Streaming files open with '[' and only a clean close writes the
   // final ']'. A kill between drains leaves the file ending at an event
   // boundary ('}'), so the terminator alone cannot tell complete from
-  // cut — the leading '[' can. Whole-document dumps start with '{' and
-  // are written in one shot; leave them (and already-closed streams)
-  // alone.
+  // cut — the leading '[' can. Leave anything else (and already-closed
+  // streams) alone.
   std::size_t begin = 0;
   while (begin < tail.size() && (tail[begin] == '\n' || tail[begin] == ' ')) ++begin;
   std::size_t end = tail.size();
@@ -253,16 +208,11 @@ bool trace_recover_partial(const std::string& path) {
 void trace_stream_open(const std::string& path) {
   if (path.empty()) return;
   TraceState& s = state();
-  // Lock-free already-open check: a drain (which holds the stream mutex)
-  // may fault in Registry::instance(), whose env hooks re-enter here —
-  // bailing on the atomic avoids self-deadlock on the mutex.
-  if (s.streaming.load(std::memory_order_relaxed)) return;
   MutexLock lock(s.stream.mutex);
   if (s.stream.out.is_open()) return;
   trace_recover_partial(path);
   s.stream.out.open(path);
   if (!s.stream.out) return;
-  s.stream.path = path;
   s.stream.any_event = false;
   s.stream.out << "[\n";
   s.stream.out.flush();
@@ -283,7 +233,6 @@ void trace_stream_close() {
   drain_locked(s);
   s.stream.out << "\n]\n";
   s.stream.out.close();
-  s.stream.path.clear();
   s.stream.any_event = false;
 }
 

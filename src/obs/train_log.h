@@ -14,7 +14,6 @@
 #pragma once
 
 #include <fstream>
-#include <optional>
 #include <string>
 
 namespace spectra::obs {
@@ -31,9 +30,6 @@ struct TrainIterRecord {
 
 // One JSONL line (no trailing newline).
 std::string to_jsonl(const TrainIterRecord& record);
-
-// Inverse of to_jsonl; nullopt when a field is missing or malformed.
-std::optional<TrainIterRecord> parse_jsonl(const std::string& line);
 
 class TrainLogSink {
  public:

@@ -1,20 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/run_manifest.h"
 #include "obs/sampler.h"
+#include "obs/session.h"
 #include "obs/trace.h"
 #include "obs/train_log.h"
 #include "util/thread_pool.h"
@@ -22,45 +27,144 @@
 namespace spectra::obs {
 namespace {
 
-// Minimal structural JSON check: quotes pair up and brackets/braces
-// balance outside strings. Catches truncated or mis-nested output.
-bool json_well_formed(const std::string& json) {
-  std::vector<char> stack;
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : json) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
+// One parsed JSON value. Numbers are doubles; a \uXXXX escape keeps its
+// six characters of text.
+struct Json {
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  double number = 0.0;                                // kBool (0/1), kNumber
+  std::string text;                                   // kString
+  std::vector<Json> items;                            // kArray
+  std::vector<std::pair<std::string, Json>> members;  // kObject, in order
+
+  // Member `key` of an object, or nullptr.
+  const Json* get(const std::string& key) const {
+    for (const auto& [name, value] : members) {
+      if (name == key) return &value;
     }
-    switch (c) {
-      case '"':
-        in_string = true;
-        break;
-      case '{':
-      case '[':
-        stack.push_back(c);
-        break;
-      case '}':
-        if (stack.empty() || stack.back() != '{') return false;
-        stack.pop_back();
-        break;
-      case ']':
-        if (stack.empty() || stack.back() != '[') return false;
-        stack.pop_back();
-        break;
-      default:
-        break;
-    }
+    return nullptr;
   }
-  return !in_string && stack.empty();
+};
+
+// Strict recursive-descent JSON parser: truncated or mis-nested text,
+// trailing garbage, raw control characters in strings and non-JSON
+// numbers such as `nan` all fail.
+class JsonParser {
+ public:
+  explicit JsonParser(const std::string& text) : text_(text) {}
+
+  std::optional<Json> parse() {
+    Json value;
+    if (!parse_value(value, 0)) return std::nullopt;
+    skip_space();
+    if (pos_ != text_.size()) return std::nullopt;
+    return value;
+  }
+
+ private:
+  void skip_space() {
+    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+  }
+
+  bool consume(char c) {
+    skip_space();
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  bool consume_word(const std::string& word) {
+    if (text_.compare(pos_, word.size(), word) != 0) return false;
+    pos_ += word.size();
+    return true;
+  }
+
+  bool parse_string(std::string& out) {
+    if (!consume('"')) return false;
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (pos_ >= text_.size()) return false;
+      const char escaped = text_[pos_++];
+      const std::string simple = "\"\\/bfnrt";
+      const std::string decoded = "\"\\/\b\f\n\r\t";
+      if (escaped == 'u') {
+        if (pos_ + 4 > text_.size()) return false;
+        for (std::size_t i = 0; i < 4; ++i) {
+          if (!std::isxdigit(static_cast<unsigned char>(text_[pos_ + i]))) return false;
+        }
+        out += text_.substr(pos_ - 2, 6);
+        pos_ += 4;
+      } else if (simple.find(escaped) != std::string::npos) {
+        out += decoded[simple.find(escaped)];
+      } else {
+        return false;
+      }
+    }
+    return false;
+  }
+
+  bool parse_value(Json& value, int depth) {
+    skip_space();
+    if (pos_ >= text_.size() || depth > 64) return false;
+    const char c = text_[pos_];
+    if (c == '{' || c == '[') {
+      ++pos_;
+      const char close = c == '{' ? '}' : ']';
+      value.kind = c == '{' ? Json::Kind::kObject : Json::Kind::kArray;
+      if (consume(close)) return true;
+      do {
+        Json item;
+        if (c == '{') {
+          std::string key;
+          if (!parse_string(key) || !consume(':') || !parse_value(item, depth + 1)) return false;
+          value.members.emplace_back(std::move(key), std::move(item));
+        } else {
+          if (!parse_value(item, depth + 1)) return false;
+          value.items.push_back(std::move(item));
+        }
+      } while (consume(','));
+      return consume(close);
+    }
+    if (c == '"') {
+      value.kind = Json::Kind::kString;
+      return parse_string(value.text);
+    }
+    if (consume_word("true") || consume_word("false")) {
+      value.kind = Json::Kind::kBool;
+      value.number = c == 't' ? 1.0 : 0.0;
+      return true;
+    }
+    if (consume_word("null")) return true;
+    if (c != '-' && !std::isdigit(static_cast<unsigned char>(c))) return false;
+    const char* start = text_.c_str() + pos_;
+    char* end = nullptr;
+    value.number = std::strtod(start, &end);
+    if (end == start) return false;
+    value.kind = Json::Kind::kNumber;
+    pos_ += static_cast<std::size_t>(end - start);
+    return true;
+  }
+
+  const std::string& text_;
+  std::size_t pos_ = 0;
+};
+
+std::optional<Json> parse_json(const std::string& text) { return JsonParser(text).parse(); }
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
+
+bool file_exists(const std::string& path) { return static_cast<bool>(std::ifstream(path)); }
 
 TEST(CounterTest, IncrementAndReset) {
   Counter counter;
@@ -93,31 +197,6 @@ TEST(GaugeTest, SetAddReset) {
   EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
 }
 
-TEST(HistogramTest, BucketAssignment) {
-  Histogram hist({1.0, 2.0, 4.0});
-  hist.observe(0.5);   // bucket 0 (<= 1)
-  hist.observe(1.0);   // bucket 0 (bounds are inclusive upper limits)
-  hist.observe(1.5);   // bucket 1
-  hist.observe(4.0);   // bucket 2
-  hist.observe(100.0); // overflow bucket
-  EXPECT_EQ(hist.count(), 5u);
-  EXPECT_DOUBLE_EQ(hist.sum(), 107.0);
-  EXPECT_EQ(hist.bucket_count(0), 2u);
-  EXPECT_EQ(hist.bucket_count(1), 1u);
-  EXPECT_EQ(hist.bucket_count(2), 1u);
-  EXPECT_EQ(hist.bucket_count(3), 1u);   // +inf overflow
-  EXPECT_EQ(hist.bucket_count(99), 0u);  // out of range reads as zero
-  hist.reset();
-  EXPECT_EQ(hist.count(), 0u);
-  EXPECT_DOUBLE_EQ(hist.sum(), 0.0);
-}
-
-TEST(HistogramTest, DefaultTimeBucketsAreIncreasing) {
-  const std::vector<double> bounds = default_time_buckets();
-  ASSERT_GE(bounds.size(), 2u);
-  for (std::size_t i = 1; i < bounds.size(); ++i) EXPECT_GT(bounds[i], bounds[i - 1]);
-}
-
 TEST(RegistryTest, SameNameReturnsSameInstrument) {
   Registry& registry = Registry::instance();
   Counter& a = registry.counter("obs_test.same_counter");
@@ -126,7 +205,7 @@ TEST(RegistryTest, SameNameReturnsSameInstrument) {
   Gauge& g1 = registry.gauge("obs_test.same_gauge");
   Gauge& g2 = registry.gauge("obs_test.same_gauge");
   EXPECT_EQ(&g1, &g2);
-  Histogram& h1 = registry.histogram("obs_test.same_hist", {1.0, 2.0});
+  Histogram& h1 = registry.histogram("obs_test.same_hist");
   Histogram& h2 = registry.histogram("obs_test.same_hist");
   EXPECT_EQ(&h1, &h2);
 }
@@ -135,19 +214,22 @@ TEST(RegistryTest, SnapshotsContainInstruments) {
   Registry& registry = Registry::instance();
   registry.counter("obs_test.snap_counter").inc(7);
   registry.gauge("obs_test.snap_gauge").set(3.5);
-  registry.histogram("obs_test.snap_hist", {0.5}).observe(0.25);
+  registry.histogram("obs_test.snap_hist").observe(0.25);
 
-  const std::string text = metrics_snapshot();
-  EXPECT_NE(text.find("obs_test.snap_counter"), std::string::npos);
-  EXPECT_NE(text.find("obs_test.snap_gauge"), std::string::npos);
-  EXPECT_NE(text.find("obs_test.snap_hist"), std::string::npos);
-
-  const std::string json = metrics_snapshot_json();
-  EXPECT_TRUE(json_well_formed(json)) << json;
-  EXPECT_NE(json.find("\"obs_test.snap_counter\":"), std::string::npos);
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  const std::string json = registry.json_snapshot();
+  const std::optional<Json> snapshot = parse_json(json);
+  ASSERT_TRUE(snapshot.has_value()) << json;
+  ASSERT_NE(snapshot->get("counters"), nullptr);
+  ASSERT_NE(snapshot->get("gauges"), nullptr);
+  ASSERT_NE(snapshot->get("histograms"), nullptr);
+  const Json* counter = snapshot->get("counters")->get("obs_test.snap_counter");
+  ASSERT_NE(counter, nullptr);
+  EXPECT_GE(counter->number, 7.0);
+  EXPECT_NE(snapshot->get("gauges")->get("obs_test.snap_gauge"), nullptr);
+  const Json* hist = snapshot->get("histograms")->get("obs_test.snap_hist");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_NE(hist->get("count"), nullptr);
+  EXPECT_NE(hist->get("sum"), nullptr);
 }
 
 TEST(RegistryTest, DumpMetricsWritesJsonFile) {
@@ -158,7 +240,7 @@ TEST(RegistryTest, DumpMetricsWritesJsonFile) {
   ASSERT_TRUE(static_cast<bool>(in));
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_TRUE(json_well_formed(buffer.str())) << buffer.str();
+  EXPECT_TRUE(parse_json(buffer.str()).has_value()) << buffer.str();
   EXPECT_NE(buffer.str().find("obs_test.dump_counter"), std::string::npos);
   std::remove(path.c_str());
 }
@@ -184,8 +266,9 @@ TEST_F(TraceTest, NestedSpansProduceWellFormedTraceJson) {
     }
   }
   const std::string json = trace_json();
-  EXPECT_TRUE(json_well_formed(json)) << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  const std::optional<Json> events = parse_json(json);
+  ASSERT_TRUE(events.has_value()) << json;
+  EXPECT_EQ(events->kind, Json::Kind::kArray);  // the stream's bare event array
   EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"inner\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"sibling\""), std::string::npos);
@@ -198,7 +281,7 @@ TEST_F(TraceTest, SpansFromPoolThreadsAreRecorded) {
   ThreadPool pool(3);
   pool.parallel_for(8, [](std::size_t) { SG_PROFILE_SCOPE("pool_span"); });
   const std::string json = trace_json();
-  EXPECT_TRUE(json_well_formed(json)) << json;
+  EXPECT_TRUE(parse_json(json).has_value()) << json;
   std::size_t occurrences = 0;
   for (std::size_t pos = json.find("pool_span"); pos != std::string::npos;
        pos = json.find("pool_span", pos + 1)) {
@@ -207,26 +290,37 @@ TEST_F(TraceTest, SpansFromPoolThreadsAreRecorded) {
   EXPECT_EQ(occurrences, 8u);
 }
 
-TEST_F(TraceTest, FlushWritesFile) {
-  { SG_PROFILE_SCOPE("flushed_span"); }
-  const std::string path = testing::TempDir() + "/sg_trace_flush.json";
-  trace_flush(path);
-  std::ifstream in(path);
-  ASSERT_TRUE(static_cast<bool>(in));
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_TRUE(json_well_formed(buffer.str()));
-  EXPECT_NE(buffer.str().find("flushed_span"), std::string::npos);
-  std::remove(path.c_str());
-}
-
 TEST(TraceDisabledTest, DisabledSpansRecordNothing) {
   trace_set_enabled(false);
   trace_reset();
   { SG_PROFILE_SCOPE("ghost"); }
   const std::string json = trace_json();
   EXPECT_EQ(json.find("ghost"), std::string::npos);
-  EXPECT_TRUE(json_well_formed(json));
+  EXPECT_TRUE(parse_json(json).has_value());
+}
+
+// A TrainIterRecord back from one to_jsonl line; nullopt when the line is
+// not JSON or a field is missing or not a number.
+std::optional<TrainIterRecord> parse_jsonl(const std::string& line) {
+  const std::optional<Json> json = parse_json(line);
+  if (!json.has_value()) return std::nullopt;
+  const char* const names[] = {"iter",        "d_loss",      "g_adv_loss", "l1_loss",
+                               "grad_norm_d", "grad_norm_g", "seconds"};
+  double fields[std::size(names)];
+  for (std::size_t i = 0; i < std::size(names); ++i) {
+    const Json* field = json->get(names[i]);
+    if (field == nullptr || field->kind != Json::Kind::kNumber) return std::nullopt;
+    fields[i] = field->number;
+  }
+  TrainIterRecord record;
+  record.iteration = static_cast<long>(fields[0]);
+  record.d_loss = fields[1];
+  record.g_adv_loss = fields[2];
+  record.l1_loss = fields[3];
+  record.grad_norm_d = fields[4];
+  record.grad_norm_g = fields[5];
+  record.seconds = fields[6];
+  return record;
 }
 
 TEST(TrainLogTest, JsonlRoundTrip) {
@@ -240,7 +334,7 @@ TEST(TrainLogTest, JsonlRoundTrip) {
   record.seconds = 0.001953125;
 
   const std::string line = to_jsonl(record);
-  EXPECT_TRUE(json_well_formed(line)) << line;
+  EXPECT_TRUE(parse_json(line).has_value()) << line;
   const auto parsed = parse_jsonl(line);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->iteration, record.iteration);
@@ -337,7 +431,7 @@ double reference_quantile(std::vector<double> values, double q) {
 
 TEST(HistogramQuantileTest, ExactWhileReservoirUnsaturated) {
   ASSERT_LT(400u, Histogram::kReservoirSize);
-  Histogram hist({1e9});
+  Histogram hist;
   const std::vector<double> values = uniform_stream(400);
   for (double v : values) hist.observe(v);
   for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
@@ -346,7 +440,7 @@ TEST(HistogramQuantileTest, ExactWhileReservoirUnsaturated) {
 }
 
 TEST(HistogramQuantileTest, ApproximateOnceSaturated) {
-  Histogram hist({1e9});
+  Histogram hist;
   const std::vector<double> values = uniform_stream(5000);
   for (double v : values) hist.observe(v);
   // The reservoir holds 512 of 5000; a uniform sample bounds the rank
@@ -358,44 +452,26 @@ TEST(HistogramQuantileTest, ApproximateOnceSaturated) {
 }
 
 TEST(HistogramQuantileTest, EmptyHistogramQuantilesAreNaN) {
-  Histogram hist({1.0});
+  Histogram hist;
   EXPECT_TRUE(std::isnan(hist.quantile(0.5)));
-  EXPECT_TRUE(std::isnan(hist.bucket_quantile(0.5)));
-}
-
-TEST(HistogramQuantileTest, BucketQuantileInterpolatesInsideBuckets) {
-  Histogram hist({1.0, 2.0, 4.0});
-  for (int i = 0; i < 50; ++i) hist.observe(0.5);  // bucket (0, 1]
-  for (int i = 0; i < 50; ++i) hist.observe(1.5);  // bucket (1, 2]
-  EXPECT_NEAR(hist.bucket_quantile(0.25), 0.5, 1e-12);
-  EXPECT_NEAR(hist.bucket_quantile(0.50), 1.0, 1e-12);
-  EXPECT_NEAR(hist.bucket_quantile(0.75), 1.5, 1e-12);
-  hist.observe(100.0);  // overflow bucket clamps to the last finite bound
-  EXPECT_NEAR(hist.bucket_quantile(1.0), 4.0, 1e-12);
 }
 
 TEST(HistogramQuantileTest, SnapshotsRenderQuantiles) {
   Registry& registry = Registry::instance();
-  Histogram& hist = registry.histogram("obs_test.quant_hist", {10.0});
+  Histogram& hist = registry.histogram("obs_test.quant_hist");
   for (int i = 1; i <= 9; ++i) hist.observe(static_cast<double>(i));
   registry.max_gauge("obs_test.quant_max").update(17.0);
 
-  const std::string text = metrics_snapshot();
-  const std::size_t at = text.find("obs_test.quant_hist");
-  ASSERT_NE(at, std::string::npos);
-  const std::string line = text.substr(at, text.find('\n', at) - at);
-  EXPECT_NE(line.find(" p50="), std::string::npos) << line;
-  EXPECT_NE(line.find(" p95="), std::string::npos) << line;
-  EXPECT_NE(line.find(" p99="), std::string::npos) << line;
-  EXPECT_NE(text.find("maxgauge obs_test.quant_max = 17"), std::string::npos);
-
-  const std::string json = metrics_snapshot_json();
-  EXPECT_TRUE(json_well_formed(json));
-  const std::size_t jat = json.find("\"obs_test.quant_hist\"");
-  ASSERT_NE(jat, std::string::npos);
-  EXPECT_NE(json.find("\"p50\":", jat), std::string::npos);
-  EXPECT_NE(json.find("\"max_gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"obs_test.quant_max\":17"), std::string::npos);
+  const std::string json = registry.json_snapshot();
+  const std::optional<Json> snapshot = parse_json(json);
+  ASSERT_TRUE(snapshot.has_value()) << json;
+  const Json* rendered = snapshot->get("histograms")->get("obs_test.quant_hist");
+  ASSERT_NE(rendered, nullptr);
+  for (const char* q : {"p50", "p95", "p99"}) EXPECT_NE(rendered->get(q), nullptr) << q;
+  EXPECT_DOUBLE_EQ(rendered->get("p50")->number, 5.0);
+  const Json* peak = snapshot->get("max_gauges")->get("obs_test.quant_max");
+  ASSERT_NE(peak, nullptr);
+  EXPECT_DOUBLE_EQ(peak->number, 17.0);
 }
 
 // --- hierarchical profiler ----------------------------------------------
@@ -439,7 +515,7 @@ TEST_F(ProfileTest, NestedScopesBuildTreeWithCallCounts) {
   EXPECT_NE(text.find("  prof_inner"), std::string::npos);  // indented child
 
   const std::string json = profile_report_json();
-  EXPECT_TRUE(json_well_formed(json)) << json;
+  EXPECT_TRUE(parse_json(json).has_value()) << json;
   EXPECT_DOUBLE_EQ(json_number_after(json, "prof_outer", "calls"), 1.0);
   EXPECT_DOUBLE_EQ(json_number_after(json, "prof_inner", "calls"), 2.0);
 }
@@ -504,7 +580,7 @@ TEST_F(ProfileTest, PoolThreadScopesMergeByPath) {
   ThreadPool pool(3);
   pool.parallel_for(8, [](std::size_t) { SG_PROFILE_SCOPE("prof_pool_scope"); });
   const std::string json = profile_report_json();
-  EXPECT_TRUE(json_well_formed(json));
+  EXPECT_TRUE(parse_json(json).has_value());
   // The same path on different threads merges into one node whose call
   // count is the total across threads.
   EXPECT_DOUBLE_EQ(json_number_after(json, "prof_pool_scope", "calls"), 8.0);
@@ -520,7 +596,7 @@ TEST_F(ProfileTest, DumpWritesWellFormedJsonFile) {
   ASSERT_TRUE(static_cast<bool>(in));
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_TRUE(json_well_formed(buffer.str()));
+  EXPECT_TRUE(parse_json(buffer.str()).has_value());
   EXPECT_NE(buffer.str().find("prof_dumped"), std::string::npos);
   EXPECT_NE(buffer.str().find("\"wall_seconds\":"), std::string::npos);
   std::remove(path.c_str());
@@ -554,7 +630,7 @@ std::vector<TraceEventView> trace_events(const std::string& json, const std::str
 class ProbeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (std::getenv("SPECTRA_TRACE") != nullptr) {
+    if (!session_knobs().trace.empty()) {
       GTEST_SKIP() << "global trace stream owned by SPECTRA_TRACE";
     }
     was_profiling_ = profile_enabled();
@@ -659,16 +735,30 @@ TEST_F(ProbeTest, NestedEventsNestAndCountFromAFixedOrigin) {
   EXPECT_LE(inner[0].ts + inner[0].dur, outer[0].ts + outer[0].dur);
 }
 
+// Switches death tests to the threadsafe style for one scope: it
+// re-executes this binary, so the statement runs in a fresh process whose
+// session read the environment the parent set.
+class FreshProcessDeathTests {
+ public:
+  FreshProcessDeathTests() : style_(::testing::GTEST_FLAG(death_test_style)) {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  }
+  ~FreshProcessDeathTests() { ::testing::GTEST_FLAG(death_test_style) = style_; }
+  FreshProcessDeathTests(const FreshProcessDeathTests&) = delete;
+  FreshProcessDeathTests& operator=(const FreshProcessDeathTests&) = delete;
+
+ private:
+  std::string style_;
+};
+
 // The same check where it can actually fail: the first traced scope of a
-// fresh process that never set SPECTRA_TRACE. The threadsafe death-test
-// style re-executes this binary, so nothing has touched the trace state
-// before the statement runs.
+// fresh process that never set SPECTRA_TRACE, so nothing has touched the
+// trace state before the statement runs.
 TEST(ProbeOriginTest, FirstTracedScopeOfAFreshProcessHasASmallTimestamp) {
-  if (std::getenv("SPECTRA_TRACE") != nullptr) {
+  if (!session_knobs().trace.empty()) {
     GTEST_SKIP() << "global trace stream owned by SPECTRA_TRACE";
   }
-  const std::string style = ::testing::GTEST_FLAG(death_test_style);
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const FreshProcessDeathTests fresh;
   EXPECT_EXIT(
       {
         trace_set_enabled(true);
@@ -682,7 +772,6 @@ TEST(ProbeOriginTest, FirstTracedScopeOfAFreshProcessHasASmallTimestamp) {
         std::exit(events.size() == 1 && events[0].ts < kOneDayUs ? 0 : 1);
       },
       testing::ExitedWithCode(0), "");
-  ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 // --- resource sampler ---------------------------------------------------
@@ -762,7 +851,7 @@ TEST(RunManifestTest, ManifestCarriesProvenanceAndExtras) {
   run_manifest_set("obs_test_extra", "42");
   run_manifest_set_string("obs_test_str", "hello \"quoted\"");
   const std::string json = run_manifest_json("obs-test-run");
-  EXPECT_TRUE(json_well_formed(json)) << json;
+  EXPECT_TRUE(parse_json(json).has_value()) << json;
   EXPECT_NE(json.find("\"name\":\"obs-test-run\""), std::string::npos);
   EXPECT_NE(json.find("\"git_sha\":"), std::string::npos);
   EXPECT_NE(json.find("\"build_type\":"), std::string::npos);
@@ -786,7 +875,7 @@ TEST(RunManifestTest, ControlCharactersInNamesAreEscaped) {
     EXPECT_TRUE(std::none_of(json.begin(), json.end(),
                              [](char c) { return static_cast<unsigned char>(c) < 0x20; }))
         << json;
-    EXPECT_TRUE(json_well_formed(json)) << json;
+    EXPECT_TRUE(parse_json(json).has_value()) << json;
   }
   EXPECT_NE(manifest.find("\"name\":\"tab\\u0009here\\u000anext\\u0001\""), std::string::npos);
   EXPECT_NE(snapshot.find("\"obs_test.ctl\\u0009\\u000a\\u0001\":"), std::string::npos);
@@ -800,26 +889,19 @@ TEST(RunManifestTest, WriteRunManifestWritesFile) {
   ASSERT_TRUE(static_cast<bool>(in));
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_TRUE(json_well_formed(buffer.str()));
+  EXPECT_TRUE(parse_json(buffer.str()).has_value());
   EXPECT_NE(buffer.str().find("\"name\":\"obs-test-file\""), std::string::npos);
   std::remove(path.c_str());
 }
 
 // --- streaming trace export ---------------------------------------------
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 // The stream sink is process-global; when the binary was launched with
-// SPECTRA_TRACE set, the env autostart already owns it.
+// SPECTRA_TRACE set, the session already owns it.
 class TraceStreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (std::getenv("SPECTRA_TRACE") != nullptr) {
+    if (!session_knobs().trace.empty()) {
       GTEST_SKIP() << "global trace stream owned by SPECTRA_TRACE";
     }
     trace_reset();
@@ -854,7 +936,7 @@ TEST_F(TraceStreamTest, DrainStreamsEventsBeforeCloseFinalizes) {
   trace_stream_close();
   const std::string full = slurp(path);
   EXPECT_EQ(full.front(), '[');
-  EXPECT_TRUE(json_well_formed(full)) << full;
+  EXPECT_TRUE(parse_json(full).has_value()) << full;
   std::remove(path.c_str());
 }
 
@@ -868,20 +950,7 @@ TEST_F(TraceStreamTest, RecordingPastThresholdDrainsWithoutExplicitFlush) {
   // The recording thread itself crossed the threshold and drained.
   EXPECT_NE(slurp(path).find("auto_drain_span"), std::string::npos);
   trace_stream_close();
-  EXPECT_TRUE(json_well_formed(slurp(path)));
-  std::remove(path.c_str());
-}
-
-TEST_F(TraceStreamTest, FlushRoutesToStreamWhenItOwnsThePath) {
-  const std::string path = testing::TempDir() + "/sg_trace_owned.json";
-  std::remove(path.c_str());
-  trace_stream_open(path);
-  { SG_PROFILE_SCOPE("owned_span"); }
-  trace_flush(path);  // must drain, not overwrite with a whole document
-  const std::string contents = slurp(path);
-  EXPECT_NE(contents.find("owned_span"), std::string::npos);
-  EXPECT_EQ(contents.find("traceEvents"), std::string::npos);
-  trace_stream_close();
+  EXPECT_TRUE(parse_json(slurp(path)).has_value());
   std::remove(path.c_str());
 }
 
@@ -897,7 +966,7 @@ TEST(TraceRecoverTest, PartialStreamIsFinalizedAndRenamed) {
   EXPECT_TRUE(trace_recover_partial(path));
   EXPECT_FALSE(static_cast<bool>(std::ifstream(path)));  // renamed away
   const std::string contents = slurp(recovered);
-  EXPECT_TRUE(json_well_formed(contents)) << contents;
+  EXPECT_TRUE(parse_json(contents).has_value()) << contents;
   EXPECT_NE(contents.find("cut_short"), std::string::npos);
   std::remove(recovered.c_str());
 }
@@ -918,7 +987,7 @@ TEST(TraceRecoverTest, KillAtEventBoundaryIsStillRecovered) {
   }
   EXPECT_TRUE(trace_recover_partial(path));
   const std::string contents = slurp(recovered);
-  EXPECT_TRUE(json_well_formed(contents)) << contents;
+  EXPECT_TRUE(parse_json(contents).has_value()) << contents;
   EXPECT_NE(contents.find("\"b\""), std::string::npos);
   std::remove(recovered.c_str());
 }
@@ -937,7 +1006,7 @@ TEST(TraceRecoverTest, MidRecordCutIsTruncatedToLastCompleteEvent) {
   }
   EXPECT_TRUE(trace_recover_partial(path));
   const std::string contents = slurp(recovered);
-  EXPECT_TRUE(json_well_formed(contents)) << contents;
+  EXPECT_TRUE(parse_json(contents).has_value()) << contents;
   EXPECT_NE(contents.find("whole"), std::string::npos);
   EXPECT_EQ(contents.find("torn"), std::string::npos);
   std::remove(recovered.c_str());
@@ -954,6 +1023,251 @@ TEST(TraceRecoverTest, CompleteFileIsLeftAlone) {
   EXPECT_FALSE(static_cast<bool>(std::ifstream((path + ".recovered").c_str())));
   std::remove(path.c_str());
 }
+
+// --- the obs session ----------------------------------------------------
+
+// Sets (or, for a null value, unsets) environment variables for one scope
+// and restores them after; a re-executed child inherits them.
+class ScopedEnv {
+ public:
+  explicit ScopedEnv(const std::vector<std::pair<std::string, const char*>>& vars) {
+    for (const auto& [name, value] : vars) {
+      const char* old = std::getenv(name.c_str());
+      saved_.push_back({name, old != nullptr, old != nullptr ? old : ""});
+      if (value != nullptr) {
+        setenv(name.c_str(), value, 1);
+      } else {
+        unsetenv(name.c_str());
+      }
+    }
+  }
+  ~ScopedEnv() {
+    for (auto it = saved_.rbegin(); it != saved_.rend(); ++it) {
+      if (it->was_set) {
+        setenv(it->name.c_str(), it->value.c_str(), 1);
+      } else {
+        unsetenv(it->name.c_str());
+      }
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  struct Saved {
+    std::string name;
+    bool was_set;
+    std::string value;
+  };
+  std::vector<Saved> saved_;
+};
+
+// The path the variable `knob` names for a re-executed child's output,
+// under the test temp dir. The child runs the test body again before its
+// statement; there the variable already names this path and the child's
+// session owns the file, so only the parent clears a stale one.
+std::string child_output(const char* knob, const std::string& name) {
+  const std::string path = testing::TempDir() + "sg_session_" + name;
+  const char* current = std::getenv(knob);
+  if (current == nullptr || path != current) std::remove(path.c_str());
+  return path;
+}
+
+// Member name -> number for a flat JSON object of numbers.
+std::map<std::string, double> numbers(const Json* object) {
+  std::map<std::string, double> out;
+  if (object == nullptr) return out;
+  for (const auto& [name, value] : object->members) out[name] = value.number;
+  return out;
+}
+
+// Histogram name -> {count, sum}: what a snapshot taken later may not
+// disagree on (the reservoir quantiles are recomputed per snapshot).
+std::map<std::string, std::pair<double, double>> histogram_totals(const Json* object) {
+  std::map<std::string, std::pair<double, double>> out;
+  if (object == nullptr) return out;
+  for (const auto& [name, value] : object->members) {
+    const Json* count = value.get("count");
+    const Json* sum = value.get("sum");
+    out[name] = {count != nullptr ? count->number : -1.0, sum != nullptr ? sum->number : -1.0};
+  }
+  return out;
+}
+
+// Profile tree path ("a/b" for child b of a) -> call count.
+void tree_calls(const Json* nodes, const std::string& prefix, std::map<std::string, double>& out) {
+  if (nodes == nullptr) return;
+  for (const Json& node : nodes->items) {
+    const Json* name = node.get("name");
+    const Json* calls = node.get("calls");
+    const std::string path = prefix + (name != nullptr ? name->text : "?");
+    out[path] = calls != nullptr ? calls->number : -1.0;
+    tree_calls(node.get("children"), path + "/", out);
+  }
+}
+
+std::map<std::string, double> tree_calls(const Json* profile) {
+  std::map<std::string, double> out;
+  if (profile != nullptr) tree_calls(profile->get("tree"), "", out);
+  return out;
+}
+
+// The session's whole lifecycle in a fresh process: all five knobs set,
+// more events than one stream batch, a clean exit. The outputs agree
+// only when the exit writer stops the sampler and closes the trace before
+// it writes the profile, the metrics and then the manifest.
+TEST(SessionTest, ExitWriterFinishesEveryOutputInOrder) {
+  const std::string trace = child_output("SPECTRA_TRACE", "trace.json");
+  const std::string profile = child_output("SPECTRA_PROFILE", "profile.json");
+  const std::string metrics = child_output("SPECTRA_METRICS", "metrics.json");
+  const std::string manifest = child_output("SPECTRA_RUNMETA", "run.json");
+  const ScopedEnv env({{"SPECTRA_TRACE", trace.c_str()},
+                       {"SPECTRA_PROFILE", profile.c_str()},
+                       {"SPECTRA_METRICS", metrics.c_str()},
+                       {"SPECTRA_RUNMETA", manifest.c_str()},
+                       {"SPECTRA_SAMPLE_MS", "1"}});
+  constexpr std::uint64_t kInner = kStreamFlushEvents + 100;
+  {
+    const FreshProcessDeathTests fresh;
+    EXPECT_EXIT(
+        {
+          {
+            SG_PROFILE_SCOPE("session_outer");
+            for (std::uint64_t i = 0; i < kInner; ++i) {
+              SG_PROFILE_SCOPE("session_inner");
+            }
+          }
+          Registry::instance().histogram("obs_test.session_hist").observe(0.25);
+          const std::uint64_t flushes =
+              Registry::instance().counter("trace.stream_flushes").value();
+          run_manifest_set("flushes_before_exit", std::to_string(flushes));
+          std::exit(0);
+        },
+        testing::ExitedWithCode(0), "");
+  }
+
+  std::map<std::string, std::optional<Json>> docs;
+  for (const std::string& path : {trace, profile, metrics, manifest}) {
+    docs[path] = parse_json(slurp(path));
+    EXPECT_TRUE(docs[path].has_value()) << path << ":\n" << slurp(path);
+    std::remove(path.c_str());
+  }
+  for (const auto& [path, doc] : docs) {
+    if (!doc.has_value()) return;
+  }
+  const Json& trace_doc = *docs[trace];
+  const Json& profile_doc = *docs[profile];
+  const Json& metrics_doc = *docs[metrics];
+  const Json& manifest_doc = *docs[manifest];
+
+  // The trace is a closed array holding every event.
+  ASSERT_EQ(trace_doc.kind, Json::Kind::kArray);
+  std::map<std::string, std::uint64_t> events;
+  for (const Json& event : trace_doc.items) {
+    const Json* name = event.get("name");
+    if (name != nullptr) ++events[name->text];
+  }
+  EXPECT_EQ(events["session_outer"], 1u);
+  EXPECT_EQ(events["session_inner"], kInner);
+
+  // The manifest embeds the same metrics the metrics file holds.
+  const Json* embedded = manifest_doc.get("metrics");
+  ASSERT_NE(embedded, nullptr);
+  for (const char* section : {"counters", "gauges", "max_gauges"}) {
+    SCOPED_TRACE(section);
+    EXPECT_FALSE(numbers(metrics_doc.get(section)).empty());
+    EXPECT_EQ(numbers(metrics_doc.get(section)), numbers(embedded->get(section)));
+  }
+  EXPECT_EQ(histogram_totals(metrics_doc.get("histograms")),
+            histogram_totals(embedded->get("histograms")));
+  EXPECT_GT(numbers(metrics_doc.get("counters"))["proc.sampler_ticks"], 0.0);
+
+  // Both count the stream's closing drain.
+  const Json* extra = manifest_doc.get("extra");
+  ASSERT_NE(extra, nullptr);
+  ASSERT_NE(extra->get("flushes_before_exit"), nullptr);
+  const double flushes = extra->get("flushes_before_exit")->number + 1.0;
+  EXPECT_GE(flushes, 2.0);  // one batch drain while recording, one at close
+  EXPECT_EQ(numbers(metrics_doc.get("counters"))["trace.stream_flushes"], flushes);
+  EXPECT_EQ(numbers(embedded->get("counters"))["trace.stream_flushes"], flushes);
+
+  // The manifest embeds the profile file's tree.
+  const std::map<std::string, double> calls = tree_calls(&profile_doc);
+  EXPECT_EQ(calls.at("session_outer"), 1.0);
+  EXPECT_EQ(calls.at("session_outer/session_inner"), static_cast<double>(kInner));
+  EXPECT_EQ(tree_calls(manifest_doc.get("profile")), calls);
+}
+
+// Matches a child's stderr that holds, or lacks, the profile tree.
+class ProfileTreeOnStderr : public testing::MatcherInterface<const std::string&> {
+ public:
+  explicit ProfileTreeOnStderr(bool printed) : printed_(printed) {}
+  bool MatchAndExplain(const std::string& err, testing::MatchResultListener*) const override {
+    return (err.find("# profile tree") != std::string::npos) == printed_;
+  }
+  void DescribeTo(std::ostream* os) const override {
+    *os << (printed_ ? "holds" : "lacks") << " the profile tree";
+  }
+
+ private:
+  bool printed_;
+};
+
+// One SPECTRA_PROFILE value and what the session makes of it.
+struct ProfileKnobRow {
+  const char* name;  // the row's test name
+  const char* value;  // nullptr: a fresh JSON path
+  bool on;
+};
+
+void PrintTo(const ProfileKnobRow& row, std::ostream* os) {
+  *os << "SPECTRA_PROFILE=" << (row.value != nullptr ? row.value : "<path>");
+}
+
+class SessionProfileKnobTest : public testing::TestWithParam<ProfileKnobRow> {};
+
+// An unset or empty knob is off; `0` and `false` are off; `1` and `true`
+// turn the profiler on with no file; any other value is the JSON path.
+TEST_P(SessionProfileKnobTest, ValueRule) {
+  const ProfileKnobRow& row = GetParam();
+  const std::string json_path = child_output("SPECTRA_PROFILE", "knob_profile.json");
+  const std::string value = row.value != nullptr ? row.value : json_path;
+  // A flag value must not become a file of that name in the working
+  // directory (checked only when none was there before).
+  const bool flag_file_existed = !value.empty() && file_exists(value);
+  const ScopedEnv env({{"SPECTRA_PROFILE", value.c_str()},
+                       {"SPECTRA_TRACE", nullptr},
+                       {"SPECTRA_METRICS", nullptr},
+                       {"SPECTRA_RUNMETA", nullptr},
+                       {"SPECTRA_SAMPLE_MS", nullptr}});
+  const bool on = row.on;
+  {
+    const FreshProcessDeathTests fresh;
+    EXPECT_EXIT(
+        {
+          { SG_PROFILE_SCOPE("knob_row_scope"); }
+          std::exit(profile_enabled() == on ? 0 : 1);
+        },
+        testing::ExitedWithCode(0),
+        testing::Matcher<const std::string&>(new ProfileTreeOnStderr(on)));
+  }
+  if (row.value == nullptr) {
+    const std::optional<Json> tree = parse_json(slurp(json_path));
+    ASSERT_TRUE(tree.has_value()) << slurp(json_path);
+    EXPECT_EQ(tree_calls(&*tree)["knob_row_scope"], 1.0);
+    std::remove(json_path.c_str());
+  } else if (!value.empty() && !flag_file_existed) {
+    EXPECT_FALSE(file_exists(value)) << "SPECTRA_PROFILE=" << value << " wrote a file";
+    std::remove(value.c_str());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, SessionProfileKnobTest,
+    testing::Values(ProfileKnobRow{"Empty", "", false}, ProfileKnobRow{"Zero", "0", false},
+                    ProfileKnobRow{"False", "false", false}, ProfileKnobRow{"One", "1", true},
+                    ProfileKnobRow{"True", "true", true}, ProfileKnobRow{"Path", nullptr, true}),
+    [](const testing::TestParamInfo<ProfileKnobRow>& row) { return std::string(row.param.name); });
 
 }  // namespace
 }  // namespace spectra::obs
